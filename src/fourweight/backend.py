@@ -1,105 +1,76 @@
-"""Hot kernels: numba-jitted loops with a pure-numpy fallback.
-
-The backend is selected once at import from the ``FOURWEIGHT_BACKEND``
-environment variable: ``numba`` (require the jit path), ``numpy``
-(force the fallback), or ``auto`` (default: numba when importable).
-Both implementations are exact and bit-identical; ``fourweight.benchmark``
-times them against each other.
-"""
+"""Hot kernels on uint64 bitmask arrays, in plain numpy."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from fourweight.errors import CapacityError, InputError
-
-_ENV_VAR = "FOURWEIGHT_BACKEND"
-
-_choice = os.environ.get(_ENV_VAR, "auto").lower()
-if _choice not in {"auto", "numba", "numpy"}:
-    raise InputError(f"{_ENV_VAR} must be auto, numba or numpy, not {_choice!r}")
-
-_HAVE_NUMBA = False
-if _choice in {"auto", "numba"}:
-    try:
-        import numba
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _choice == "numba":
-            raise InputError(f"{_ENV_VAR}=numba but numba is not installed") from None
+from fourweight.errors import CapacityError
 
 #: Syndrome tables are one byte per syndrome; 2^26 is the memory guard.
 SYNDROME_GUARD = 26
 
-#: Coset-leader weights never exceed n <= 64; 64+1 still fits uint8.
-_INF = 64
 
+def leader_weights(cols: np.ndarray, r: int) -> np.ndarray:
+    """uint8 array of length 2^r: least coset-leader weight per syndrome.
 
-def backend_name() -> str:
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
-
-
-def _leader_weights_numpy(cols: np.ndarray, r: int) -> np.ndarray:
-    """Minimum coset-leader weight per syndrome, by one pass per column.
-
-    After processing column j, dist[s] is the least weight of a vector
-    supported on columns 1..j with syndrome s; the recurrence either
-    skips column j or spends it (dist[s ^ h_j] + 1).  XOR-by-mask
-    indexing is realized as reversed-axis views of the 2x2x...x2 cube.
+    cols[j] is the syndrome of the j-th unit vector over r parity rows in
+    reduced row-echelon form, so every unit syndrome 1 << i is among the
+    columns.  Spending unit columns alone reaches syndrome s at weight
+    popcount(s), and no subset of them does better, so the table starts
+    from popcount and is relaxed only by the remaining columns h:
+    dist[s] = min(dist[s], dist[s ^ h] + 1).  XOR-by-mask indexing is
+    realized as reversed-axis views of the 2x2x...x2 cube.
     """
-    dist = np.full(1 << r, _INF, dtype=np.uint8)
+    if r > SYNDROME_GUARD:
+        raise CapacityError(f"syndrome table 2^{r} exceeds guard 2^{SYNDROME_GUARD}")
+    rest = cols.tolist()
+    for i in range(r):
+        if (1 << i) not in rest:
+            raise ValueError(f"unit syndrome 1<<{i} missing: parity rows are not in RREF")
+        rest.remove(1 << i)
+    dist = np.empty(1 << r, dtype=np.uint8)
     dist[0] = 0
-    if r == 0:
-        return dist
+    for i in range(r):
+        np.add(dist[: 1 << i], 1, out=dist[1 << i : 2 << i])
     cube = dist.reshape((2,) * r)
+    tmp = np.empty_like(cube)
     flip = slice(None, None, -1)
     keep = slice(None)
-    for h in cols.tolist():
-        h = int(h)
+    for h in rest:
         if h == 0:
             continue
         view = cube[tuple(flip if (h >> (r - 1 - i)) & 1 else keep for i in range(r))]
-        cube = np.minimum(cube, view + np.uint8(1))
-    return cube.reshape(-1)
+        np.add(view, 1, out=tmp)
+        np.minimum(cube, tmp, out=cube)
+    return dist
 
 
-def _popcount_u64(a: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(a).astype(np.uint8)
+def coset_filter(words: np.ndarray, reps: np.ndarray, allowed: int) -> np.ndarray:
+    """Boolean mask: coset rep r survives iff every wt(w ^ r) has its bit set in allowed.
 
-
-def _coset_filter_numpy(words: np.ndarray, reps: np.ndarray, allowed: int) -> np.ndarray:
-    ok_weight = np.zeros(65, dtype=bool)
-    for w in range(65):
-        ok_weight[w] = bool((allowed >> w) & 1)
-    out = np.empty(reps.size, dtype=bool)
-    chunk = max(1, (1 << 22) // max(1, words.size))
-    for lo in range(0, reps.size, chunk):
-        block = reps[lo : lo + chunk, None] ^ words[None, :]
-        out[lo : lo + chunk] = ok_weight[_popcount_u64(block)].all(axis=1)
+    A shrinking sieve: the surviving reps meet one codeword at a time, so
+    most reps are dropped after the first few words.
+    """
+    ok_weight = np.array([(allowed >> w) & 1 for w in range(65)], dtype=bool)
+    idx = np.arange(reps.size)
+    live = reps
+    for w in words:
+        if not idx.size:
+            break
+        keep = ok_weight[np.bitwise_count(live ^ w)]
+        live = live[keep]
+        idx = idx[keep]
+    out = np.zeros(reps.size, dtype=bool)
+    out[idx] = True
     return out
 
 
-def _coset_weight_masks_numpy(words: np.ndarray, reps: np.ndarray) -> np.ndarray:
-    out = np.empty(reps.size, dtype=np.uint64)
-    chunk = max(1, (1 << 22) // max(1, words.size))
-    one = np.uint64(1)
-    for lo in range(0, reps.size, chunk):
-        block = reps[lo : lo + chunk, None] ^ words[None, :]
-        bits = one << _popcount_u64(block).astype(np.uint64)
-        out[lo : lo + chunk] = np.bitwise_or.reduce(bits, axis=1)
-    return out
+def weight_counts(basis: np.ndarray, n: int) -> np.ndarray:
+    """Weight distribution of a span (int64, length n+1).
 
-
-def _weight_counts_numpy(basis: np.ndarray, n: int) -> np.ndarray:
-    """Exact weight distribution of the span of basis rows."""
+    The low 20 basis rows are enumerated as one array; the span is then
+    walked as its cosets, one offset per combination of the high rows.
+    """
     k = basis.size
     low = min(k, 20)
     words = np.zeros(1, dtype=np.uint64)
@@ -112,136 +83,5 @@ def _weight_counts_numpy(basis: np.ndarray, n: int) -> np.ndarray:
         for t in range(k - low):
             if (combo >> t) & 1:
                 offset ^= high[t]
-        counts += np.bincount(_popcount_u64(words ^ offset), minlength=n + 1)[: n + 1]
+        counts += np.bincount(np.bitwise_count(words ^ offset), minlength=n + 1)[: n + 1]
     return counts
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True, nogil=True, inline="always")
-    def _pop64(x):
-        x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-        x = (x & np.uint64(0x3333333333333333)) + (
-            (x >> np.uint64(2)) & np.uint64(0x3333333333333333)
-        )
-        x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-        return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
-
-    @numba.njit(cache=True, nogil=True)
-    def _leader_weights_jit(cols, r):
-        size = 1 << r
-        dist = np.full(size, _INF, dtype=np.uint8)
-        dist[0] = 0
-        nxt = np.empty(size, dtype=np.uint8)
-        for j in range(cols.size):
-            h = np.int64(cols[j])
-            if h == 0:
-                continue
-            for s in range(size):
-                a = dist[s]
-                b = dist[s ^ h] + np.uint8(1)
-                nxt[s] = a if a < b else b
-            dist, nxt = nxt, dist
-        return dist
-
-    @numba.njit(cache=True, nogil=True)
-    def _coset_filter_jit(words, reps, allowed):
-        out = np.zeros(reps.size, dtype=np.bool_)
-        one = np.uint64(1)
-        for i in range(reps.size):
-            r = reps[i]
-            ok = True
-            for t in range(words.size):
-                w = _pop64(words[t] ^ r)
-                if not (allowed >> w) & one:
-                    ok = False
-                    break
-            out[i] = ok
-        return out
-
-    @numba.njit(cache=True, nogil=True)
-    def _coset_weight_masks_jit(words, reps):
-        out = np.empty(reps.size, dtype=np.uint64)
-        one = np.uint64(1)
-        for i in range(reps.size):
-            r = reps[i]
-            acc = np.uint64(0)
-            for t in range(words.size):
-                acc |= one << _pop64(words[t] ^ r)
-            out[i] = acc
-        return out
-
-    @numba.njit(cache=True, nogil=True)
-    def _weight_counts_jit(basis, n):
-        k = basis.size
-        counts = np.zeros(n + 1, dtype=np.int64)
-        word = np.uint64(0)
-        counts[0] = 1
-        for i in range(1, 1 << k):
-            t = 0
-            while not (i >> t) & 1:
-                t += 1
-            word ^= basis[t]
-            counts[_pop64(word)] += 1
-        return counts
-
-    def _leader_weights_numba(cols: np.ndarray, r: int) -> np.ndarray:
-        return _leader_weights_jit(np.ascontiguousarray(cols, dtype=np.uint64), r)
-
-    def _coset_filter_numba(words: np.ndarray, reps: np.ndarray, allowed: int) -> np.ndarray:
-        return _coset_filter_jit(
-            np.ascontiguousarray(words, dtype=np.uint64),
-            np.ascontiguousarray(reps, dtype=np.uint64),
-            np.uint64(allowed),
-        )
-
-    def _coset_weight_masks_numba(words: np.ndarray, reps: np.ndarray) -> np.ndarray:
-        return _coset_weight_masks_jit(
-            np.ascontiguousarray(words, dtype=np.uint64),
-            np.ascontiguousarray(reps, dtype=np.uint64),
-        )
-
-    def _weight_counts_numba(basis: np.ndarray, n: int) -> np.ndarray:
-        return _weight_counts_jit(np.ascontiguousarray(basis, dtype=np.uint64), n)
-
-
-_IMPL = {
-    "leader_weights": _leader_weights_numba if _HAVE_NUMBA else _leader_weights_numpy,
-    "coset_filter": _coset_filter_numba if _HAVE_NUMBA else _coset_filter_numpy,
-    "coset_weight_masks": _coset_weight_masks_numba if _HAVE_NUMBA else _coset_weight_masks_numpy,
-    "weight_counts": _weight_counts_numba if _HAVE_NUMBA else _weight_counts_numpy,
-}
-
-
-def leader_weights(cols: np.ndarray, r: int) -> np.ndarray:
-    """uint8 array of length 2^r: least coset-leader weight per syndrome."""
-    if r > SYNDROME_GUARD:
-        raise CapacityError(f"syndrome table 2^{r} exceeds guard 2^{SYNDROME_GUARD}")
-    return _IMPL["leader_weights"](cols, r)
-
-
-def coset_filter(words: np.ndarray, reps: np.ndarray, allowed: int) -> np.ndarray:
-    """Boolean mask: coset rep r survives iff every wt(w ^ r) has its bit set in allowed."""
-    if reps.size == 0:
-        return np.zeros(0, dtype=bool)
-    return _IMPL["coset_filter"](words, reps, allowed)
-
-
-def coset_weight_masks(words: np.ndarray, reps: np.ndarray) -> np.ndarray:
-    """Per coset rep, the OR of 1 << wt(w ^ r) over all span words w."""
-    if reps.size == 0:
-        return np.zeros(0, dtype=np.uint64)
-    return _IMPL["coset_weight_masks"](words, reps)
-
-
-def weight_counts(basis: np.ndarray, n: int) -> np.ndarray:
-    """Weight distribution of a span by Gray-code enumeration (int64, length n+1)."""
-    if basis.size == 0:
-        counts = np.zeros(n + 1, dtype=np.int64)
-        counts[0] = 1
-        return counts
-    return _IMPL["weight_counts"](basis, n)

@@ -290,13 +290,6 @@ def canonical_form(code: LinearCode) -> CanonicalForm:
     return _canonicalize(code).form
 
 
-def invariant_digest(code: LinearCode) -> bytes:
-    """Cheap permutation-invariant fingerprint (a bucketing aid, not a canonical key)."""
-    search = _Search(code)
-    _, inv = search.refine(np.zeros(code.n, dtype=np.int64))
-    return hashlib.blake2b(repr((code.k, inv)).encode(), digest_size=12).digest()
-
-
 def canonical_code(code: LinearCode) -> LinearCode:
     """The canonical representative of the equivalence class."""
     form = canonical_form(code)

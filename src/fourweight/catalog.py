@@ -53,7 +53,8 @@ def _derived() -> dict:
         return json.loads(_read_data("derived.json"))
     except FileNotFoundError:
         raise IntegrityError(
-            "data/derived.json is missing; regenerate it with scripts/rebuild_derived.py"
+            "data/derived.json is missing; its tenth_generator map is recomputed "
+            "by fourweight.catalog.derive_tenth_generators()"
         ) from None
 
 

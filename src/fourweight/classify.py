@@ -16,11 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from fourweight._bits import mask_to_support
-from fourweight.canonical import (
-    automorphism_generators,
-    canonical_form,
-    invariant_digest,
-)
+from fourweight.canonical import automorphism_generators, canonical_form
 from fourweight.conditions import admissible_offsets, check_conditions, reference_rm
 from fourweight.cover import leader_profile, valid_extension_vectors
 from fourweight.errors import CapacityError, InputError
@@ -141,15 +137,14 @@ def extensions(code: LinearCode, a: int | None = None, reduce_orbits: bool = Tru
 
 def _dedupe(candidates: list[tuple[LinearCode, tuple]], a: int) -> list[ClassRecord]:
     """Reduce (code, provenance) candidates to canonical-key class records."""
-    buckets: dict[bytes, dict[bytes, ClassRecord]] = {}
+    by_key: dict[bytes, ClassRecord] = {}
     for code, prov in candidates:
-        bucket = buckets.setdefault(invariant_digest(code), {})
         key = canonical_form(code).key
-        rec = bucket.get(key)
+        rec = by_key.get(key)
         if rec is None:
             check = check_conditions(code)
             assert check.ok, f"extension lost the weight set: {check.violations}"
-            bucket[key] = ClassRecord(
+            by_key[key] = ClassRecord(
                 code=code,
                 key=key,
                 a=a,
@@ -158,9 +153,7 @@ def _dedupe(candidates: list[tuple[LinearCode, tuple]], a: int) -> list[ClassRec
             )
         else:
             rec.members_seen += 1
-    records = [rec for bucket in buckets.values() for rec in bucket.values()]
-    records.sort(key=lambda r: r.key)
-    return records
+    return sorted(by_key.values(), key=lambda r: r.key)
 
 
 def classify_step(seeds: list[LinearCode], a: int | None = None) -> ClassificationReport:

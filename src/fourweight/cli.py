@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 all checks pass, 1 a verified claim fails, 2 bad input,
-3 a capacity guard refused the computation.
+3 a capacity guard refused the computation, 4 an internal error.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ EXIT_OK = 0
 EXIT_CLAIM = 1
 EXIT_INPUT = 2
 EXIT_CAPACITY = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(payload: dict, args, text_lines=None) -> None:
@@ -253,6 +254,9 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

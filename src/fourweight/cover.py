@@ -1,11 +1,13 @@
 """Covering radius via a syndrome-space sweep, and the maximality test.
 
-The coset-leader table is built by one relaxation pass per coordinate
-over all 2^(n-k) syndromes (time O(2^(n-k) n), one byte per syndrome),
-instead of scanning 2^n vectors.  Maximality of a qualifying code asks
-whether some coset could extend it within the same weight set; when the
-weight set is doubly even any extension vector must lie in the dual, so
-the scan shrinks to the 2^(n-2k) cosets of C inside C-perp.
+The coset-leader table over all 2^(n-k) syndromes starts from popcount,
+which is exact for the n-k pivot coordinates of the dual basis, and takes
+one relaxation pass per remaining coordinate (time O(2^(n-k) k), one byte
+per syndrome), instead of scanning 2^n vectors.  Maximality of a
+qualifying code asks whether some coset could extend it within the same
+weight set; when the weight set is doubly even any extension vector must
+lie in the dual, so the scan shrinks to the 2^(n-2k) cosets of C inside
+C-perp.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto its exit-code contract: bad input -> 2,
-capacity guard -> 3, failed verification claims -> 1.
+capacity guard -> 3, failed verification claims -> 1; any other
+exception is an internal error -> 4.
 """
 
 

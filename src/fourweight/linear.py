@@ -57,8 +57,8 @@ class LinearCode:
     """
 
     def __init__(self, n: int, rows: Iterable[int | BitVector | str] = ()) -> None:
-        if n <= 0:
-            raise InputError("code length must be positive")
+        if not 0 < n <= 64:
+            raise InputError(f"code length must be 1..64 (one uint64 word per vector), not {n}")
         masks = []
         for row in rows:
             if isinstance(row, BitVector):
@@ -169,9 +169,6 @@ class LinearCode:
     def words(self) -> np.ndarray:
         """All 2^k codewords as uint64 bitmasks (doubling order)."""
         return self._words
-
-    def codewords(self) -> list[BitVector]:
-        return [BitVector(self.n, int(w)) for w in self._words]
 
     @cached_property
     def _distribution(self) -> WeightDistribution:

@@ -2,20 +2,7 @@ import random
 
 import pytest
 
-from fourweight import backend
 from fourweight.catalog import load_code
-from fourweight.reedmuller import rm1
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # jit compilation happens once here, keeping timed tests honest
-    import numpy as np
-
-    backend.leader_weights(np.array([3, 5, 6], dtype=np.uint64), 3)
-    backend.coset_filter(rm1(3).words(), np.array([1, 2], dtype=np.uint64), (1 << 64) - 1)
-    backend.coset_weight_masks(rm1(3).words(), np.array([1], dtype=np.uint64))
-    backend.weight_counts(np.array(rm1(3).row_masks, dtype=np.uint64), 8)
 
 
 @pytest.fixture(scope="session")

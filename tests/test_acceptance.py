@@ -2,8 +2,8 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines; every stated runtime bound and exact count is asserted here.
-The gated length-32 reclassification only runs with
-``FOURWEIGHT_RUN_STRETCH=1``.
+The length-32 reclassification runs by default; set
+``FOURWEIGHT_SKIP_STRETCH=1`` to skip it.
 """
 
 import json

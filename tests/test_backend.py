@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 
@@ -6,23 +7,46 @@ import numpy as np
 import pytest
 
 from fourweight import backend
+from fourweight.catalog import all_ids, load_code
+from fourweight.cover import _column_syndromes, _extension_candidates
 from fourweight.errors import CapacityError
+from fourweight.linear import LinearCode
+from fourweight.reedmuller import rm1
 
 
-def _both_impls(name):
-    numpy_fn = getattr(backend, f"_{name}_numpy")
-    if not backend._HAVE_NUMBA:
-        pytest.skip("numba unavailable; nothing to compare")
-    numba_fn = getattr(backend, f"_{name}_numba")
-    return numpy_fn, numba_fn
+def chunked_filter_oracle(words, reps, allowed):
+    """Reference coset filter: every rep against every word, in 2^22-element blocks."""
+    ok_weight = np.array([(allowed >> w) & 1 for w in range(65)], dtype=bool)
+    out = np.empty(reps.size, dtype=bool)
+    chunk = max(1, (1 << 22) // max(1, words.size))
+    for lo in range(0, reps.size, chunk):
+        block = reps[lo : lo + chunk, None] ^ words[None, :]
+        out[lo : lo + chunk] = ok_weight[np.bitwise_count(block)].all(axis=1)
+    return out
 
 
-def test_leader_weights_backends_agree():
-    rng = np.random.default_rng(5)
-    f_np, f_nb = _both_impls("leader_weights")
-    for r in (0, 1, 6, 12):
-        cols = rng.integers(0, 1 << r, size=18, dtype=np.uint64) if r else np.zeros(3, np.uint64)
-        assert np.array_equal(f_np(cols, r), f_nb(cols, r))
+def relaxation_oracle(cols, r):
+    """Reference leader sweep: from weight 0 at syndrome 0, one relaxation pass per column."""
+    dist = np.full(1 << r, 64, dtype=np.uint8)
+    dist[0] = 0
+    if r == 0:
+        return dist
+    cube = dist.reshape((2,) * r)
+    flip = slice(None, None, -1)
+    keep = slice(None)
+    for h in cols.tolist():
+        if h == 0:
+            continue
+        view = cube[tuple(flip if (h >> (r - 1 - i)) & 1 else keep for i in range(r))]
+        cube = np.minimum(cube, view + np.uint8(1))
+    return cube.reshape(-1)
+
+
+def _mask(weights):
+    out = 0
+    for w in weights:
+        out |= 1 << w
+    return out
 
 
 def test_leader_weights_small_case():
@@ -32,30 +56,69 @@ def test_leader_weights_small_case():
     assert table.tolist() == [0, 1, 1, 1]
 
 
-def test_coset_filter_backends_agree():
+def test_leader_weights_rejects_missing_unit_syndrome():
+    with pytest.raises(ValueError):
+        backend.leader_weights(np.array([0b11, 0b10], dtype=np.uint64), 2)
+
+
+def test_coset_filter_matches_chunked_oracle():
     rng = np.random.default_rng(6)
-    f_np, f_nb = _both_impls("coset_filter")
-    words = rng.integers(0, 1 << 32, size=64, dtype=np.uint64)
-    reps = rng.integers(0, 1 << 32, size=500, dtype=np.uint64)
-    allowed = 0
-    for w in range(10, 24):
-        allowed |= 1 << w
-    assert np.array_equal(f_np(words, reps, allowed), f_nb(words, reps, np.uint64(allowed)))
+    for n, k, nreps in ((16, 3, 2000), (32, 6, 5000), (64, 4, 3000), (32, 0, 50), (20, 5, 0)):
+        basis = rng.integers(0, 1 << n, size=k, dtype=np.uint64)
+        words = LinearCode(n, [int(b) for b in basis]).words()
+        reps = rng.integers(0, 1 << n, size=nreps, dtype=np.uint64)
+        center = n // 2
+        for allowed in (
+            _mask(range(center - n // 8, center + n // 8 + 1)),
+            _mask(range(n + 1)),
+            _mask(range(0, n + 1, 2)),
+            _mask([n + 1]),  # every rep rejected
+            int(rng.integers(0, 1 << 62)),
+        ):
+            expect = chunked_filter_oracle(words, reps, allowed)
+            got = backend.coset_filter(words, reps, allowed)
+            assert got.dtype == bool and np.array_equal(got, expect)
 
 
-def test_coset_weight_masks_backends_agree():
-    rng = np.random.default_rng(7)
-    f_np, f_nb = _both_impls("coset_weight_masks")
-    words = rng.integers(0, 1 << 32, size=32, dtype=np.uint64)
-    reps = rng.integers(0, 1 << 32, size=200, dtype=np.uint64)
-    assert np.array_equal(f_np(words, reps), f_nb(words, reps))
+def test_coset_filter_matches_oracle_on_extension_cosets():
+    for cid, a in (("C_{16,6,1}", 2), ("C_{16,6,2}", 4), ("C_{8,5}", 2)):
+        code = load_code(cid)
+        reps = _extension_candidates(code, a)
+        allowed = _mask((code.n // 2 - a, code.n // 2, code.n // 2 + a))
+        expect = chunked_filter_oracle(code.words(), reps, allowed)
+        assert expect.any() and not expect.all()
+        assert np.array_equal(backend.coset_filter(code.words(), reps, allowed), expect)
+    reps = _extension_candidates(rm1(5), 8)
+    allowed = _mask((8, 16, 24))
+    expect = chunked_filter_oracle(rm1(5).words(), reps, allowed)
+    assert np.array_equal(backend.coset_filter(rm1(5).words(), reps, allowed), expect)
 
 
-def test_weight_counts_backends_agree():
-    rng = np.random.default_rng(8)
-    f_np, f_nb = _both_impls("weight_counts")
-    basis = rng.integers(0, 1 << 30, size=12, dtype=np.uint64)
-    assert np.array_equal(f_np(basis, 30), f_nb(basis, 30))
+def test_leader_weights_match_relaxation_on_random_codes():
+    rng = random.Random(5)
+    for n in (1, 5, 12, 18):
+        for k in (0, 1, n // 2, n - 1, n):
+            code = LinearCode(n, [rng.getrandbits(n) for _ in range(k)])
+            cols, r = _column_syndromes(code)
+            assert np.array_equal(backend.leader_weights(cols, r), relaxation_oracle(cols, r))
+
+
+def _catalog_ids_for_leader_check():
+    """Every table code; with the stretch tier skipped, a seeded sample of those with r >= 22."""
+    small, large = [], []
+    for cid in all_ids():
+        code = load_code(cid)
+        (large if code.n - code.k >= 22 else small).append(cid)
+    if os.environ.get("FOURWEIGHT_SKIP_STRETCH") == "1":
+        large = random.Random(22).sample(large, 6)
+    return small + large
+
+
+def test_leader_tables_match_relaxation_on_catalog():
+    for cid in _catalog_ids_for_leader_check():
+        cols, r = _column_syndromes(load_code(cid))
+        got = backend.leader_weights(cols, r)
+        assert got.tobytes() == relaxation_oracle(cols, r).tobytes(), cid
 
 
 def test_weight_counts_empty_basis():
@@ -68,32 +131,15 @@ def test_syndrome_guard():
         backend.leader_weights(np.zeros(1, dtype=np.uint64), backend.SYNDROME_GUARD + 1)
 
 
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, FOURWEIGHT_BACKEND="numpy")
-    out = subprocess.run(
-        [sys.executable, "-c", "from fourweight import backend; print(backend.backend_name())"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-def test_env_flag_rejects_unknown():
-    env = dict(os.environ, FOURWEIGHT_BACKEND="gpu")
-    out = subprocess.run(
-        [sys.executable, "-c", "import fourweight.backend"],
-        capture_output=True, text=True, env=env,
-    )
-    assert out.returncode != 0
-
-
 def test_numpy_backend_end_to_end():
-    # covering radius through the fallback path must match the jit path
-    env = dict(os.environ, FOURWEIGHT_BACKEND="numpy")
+    # covering radius from a cold interpreter, through the NumPy kernels alone
     code = (
         "from fourweight.catalog import load_code\n"
         "from fourweight.cover import covering_radius\n"
         "print(covering_radius(load_code('C_{16,7,1}')))\n"
     )
+    src = os.path.dirname(os.path.dirname(backend.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )

@@ -8,7 +8,6 @@ from fourweight.canonical import (
     canonical_form,
     equivalence_witness,
     find_isomorphism_bruteforce,
-    invariant_digest,
     permute_columns,
 )
 from fourweight.errors import CapacityError, InputError
@@ -80,14 +79,6 @@ def test_oracle_cross_validation(rng, n8_codes, n16_codes):
             if a.n != b.n or a.k != b.k or a is b:
                 continue
             assert are_equivalent(a, b) == (find_isomorphism_bruteforce(a, b) is not None)
-
-
-def test_invariant_digest_is_invariant(rng, n16_codes):
-    code = n16_codes["C_{16,6,1}"]
-    d = invariant_digest(code)
-    for _ in range(5):
-        assert invariant_digest(apply_permutation(code, random_permutation(rng, 16))) == d
-    assert invariant_digest(n16_codes["C_{16,6,2}"]) != d
 
 
 def test_guards():

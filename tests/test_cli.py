@@ -79,6 +79,23 @@ def test_wdist(capsys, code_file):
     assert payload["distribution"] == {"0": 1, "4": 4, "8": 54, "12": 4, "16": 1}
 
 
+def test_wdist_rejects_length_128(capsys, tmp_path):
+    path = tmp_path / "long.code"
+    path.write_text("128 1\n" + "1" * 128 + "\n")
+    status, _, err = run_cli(capsys, "wdist", str(path))
+    assert status == 2 and "error" in err
+
+
+def test_internal_error_exits_4(capsys, code_file, monkeypatch):
+    def broken(self):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(LinearCode, "weight_distribution", broken)
+    status, out, err = run_cli(capsys, "wdist", code_file("C_{8,5}"))
+    assert status == 4 and out == ""
+    assert err == "internal error: RuntimeError: boom\n"
+
+
 def test_equiv_and_witness(capsys, code_file, rng):
     from fourweight.canonical import apply_permutation
     from conftest import random_permutation

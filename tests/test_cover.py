@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fourweight.canonical import apply_permutation, are_equivalent
 from fourweight.conditions import require_certificate
@@ -35,6 +36,17 @@ def test_radius_matches_bruteforce(rng, n8_codes, n16_codes):
     codes += [LinearCode(12, [rng.getrandbits(12) for _ in range(4)]) for _ in range(3)]
     for code in codes:
         assert covering_radius(code) == covering_radius_bruteforce(code)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=16),
+    rows=st.lists(st.integers(min_value=0, max_value=(1 << 16) - 1), max_size=10),
+)
+def test_radius_matches_bruteforce_on_random_codes(n, rows):
+    # at most 10 rows: the brute-force oracle holds a 4096 x 2^k block
+    code = LinearCode(n, [row & ((1 << n) - 1) for row in rows])
+    assert covering_radius(code) == covering_radius_bruteforce(code)
 
 
 def test_leader_table_shape(n16_codes):
