@@ -88,6 +88,28 @@ def _mix(length: int) -> np.ndarray:
     return _MIX[:length]
 
 
+def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(a, axis=0, return_inverse=True) for a 2-D array, without its overhead.
+
+    Rows are ranked lexicographically, column 0 first, as np.unique does.
+    """
+    order = np.lexsort(a.T[::-1])
+    rows = a[order]
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return rows[first], inverse
+
+
+def _find(parent: list[int], x: int) -> int:
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 class _Search:
     """One canonicalization run; collects the best leaf and automorphisms."""
 
@@ -107,7 +129,8 @@ class _Search:
             take |= self.weights == w
             if int(take.sum()) >= n:
                 break
-        self.rbits = self.bits[take].astype(np.int64)
+        self.rbits = self.bits[take].astype(np.uint64)
+        self.rbits_t = np.ascontiguousarray(self.rbits.T)
         self.rweights = self.weights[take].astype(np.uint64)
         # Column co-occurrence within the two lightest nonzero weight
         # classes; pair counts crack the near-uniform incidence that
@@ -131,19 +154,21 @@ class _Search:
         Signatures are folded into uint64 hashes with fixed multipliers:
         the rank order of hash values is column-id-free, so cell ids stay
         canonical, and a collision can only under-split (never corrupts).
+        An incidence-count hash sum_c count[c] * mix[c] is one matrix-vector
+        product, bits @ mix[color]: uint64 arithmetic wraps mod 2^64, a
+        ring, so regrouping the sum leaves every bit of the hash unchanged.
         """
         rbits = self.rbits
-        R, n = rbits.shape
+        n = self.n
         ncol = int(colors.max()) + 1
         while True:
-            onehot = np.zeros((n, ncol), dtype=np.int64)
-            onehot[np.arange(n), colors] = 1
-            counts = (rbits @ onehot).astype(np.uint64)
-            whash = counts @ _mix(ncol) + self.rweights * _mix(ncol + 1)[ncol]
+            # A column individualized out of cell 0 has color -1 until this
+            # pass renumbers it: it hashes with the last cell's multiplier
+            # (an under-split only); its signature still keeps color -1.
+            mix = _mix(ncol + 1)
+            whash = rbits @ mix[:ncol][colors] + self.rweights * mix[ncol]
             wvals, wcolor = np.unique(whash, return_inverse=True)
-            wonehot = np.zeros((R, len(wvals)), dtype=np.int64)
-            wonehot[np.arange(R), wcolor] = 1
-            chash = (rbits.T @ wonehot).astype(np.uint64) @ _mix(len(wvals))
+            chash = self.rbits_t @ _mix(len(wvals))[wcolor]
             # pair signature of column j: sorted multiset of (color, co-count)
             # pairs, encoded as color*K + count so one row sort suffices
             csig = np.empty((n, 2 + len(self.pair)), dtype=np.uint64)
@@ -152,7 +177,7 @@ class _Search:
             for t, mat in enumerate(self.pair):
                 combined = colors[None, :] * (int(mat.max()) + 1) + mat
                 csig[:, 2 + t] = np.sort(combined, axis=1).astype(np.uint64) @ _mix(n)
-            cuniq, new_colors = np.unique(csig, axis=0, return_inverse=True)
+            cuniq, new_colors = _unique_rows(csig)
             if len(cuniq) == ncol and np.array_equal(new_colors, colors):
                 sizes = np.bincount(colors, minlength=ncol)
                 digest = hashlib.blake2b(
@@ -170,22 +195,21 @@ class _Search:
         packed.sort()
         return packed, perm
 
-    def _orbit_roots(self, path: list[int]) -> np.ndarray:
-        parent = np.arange(self.n)
+    def _fold_orbits(self, parent: list[int], seen: int, path: list[int]) -> int:
+        """Union into `parent` the generators from index `seen` on that fix `path`.
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for g in self.gens:
+        Generators are only ever appended, so a node folds each one in once;
+        the union-find then holds the orbit partition of the pointwise
+        stabilizer of `path` within the group found so far.  Returns the
+        new `seen`.
+        """
+        for g in self.gens[seen:]:
             if all(g[p] == p for p in path):
-                for i in range(self.n):
-                    ra, rb = find(i), find(g[i])
-                    if ra != rb:
-                        parent[ra] = rb
-        return np.array([find(i) for i in range(self.n)])
+                for i, j in enumerate(g):
+                    ri, rj = _find(parent, i), _find(parent, j)
+                    if ri != rj:
+                        parent[ri] = rj
+        return len(self.gens)
 
     # -- search ----------------------------------------------------------------
 
@@ -234,10 +258,13 @@ class _Search:
         target = int(np.flatnonzero(sizes > 1)[0])
         candidates = sorted(int(c) for c in np.flatnonzero(colors == target))
         tried: list[int] = []
+        parent = list(range(self.n))
+        seen = 0
         for c in candidates:
             if tried:
-                roots = self._orbit_roots(path)
-                if any(roots[c] == roots[t] for t in tried):
+                seen = self._fold_orbits(parent, seen, path)
+                root = _find(parent, c)
+                if any(_find(parent, t) == root for t in tried):
                     continue
             tried.append(c)
             child = colors * 2

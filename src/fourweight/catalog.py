@@ -53,8 +53,8 @@ def _derived() -> dict:
         return json.loads(_read_data("derived.json"))
     except FileNotFoundError:
         raise IntegrityError(
-            "data/derived.json is missing; its tenth_generator map is recomputed "
-            "by fourweight.catalog.derive_tenth_generators()"
+            "data/derived.json is missing; regenerate it with "
+            "`fourweight derive --out src/fourweight/data/derived.json`"
         ) from None
 
 
@@ -237,6 +237,23 @@ def derive_tenth_generators(progress=None) -> dict[str, list[int]]:
         x = group_classes[code_group[cid]][key]
         result[cid] = list(mask_to_support(32, x))
     return result
+
+
+def derived_text() -> str:
+    """The contents of data/derived.json, recomputed from the tables alone."""
+    doc = {
+        "comment": (
+            "computed data, not table-sourced: tenth generators for the [32,10] codes "
+            "(derived by dual search + canonical matching) and covering radii the "
+            "tables leave unstated"
+        ),
+        "covering_radius_computed": {
+            cid: leader_profile(load_code(cid)).radius
+            for cid in ("C_{32,9,91}", "C_{32,9,92}")
+        },
+        "tenth_generator": derive_tenth_generators(),
+    }
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,19 @@ def cmd_dump(args) -> int:
     return EXIT_OK
 
 
+def cmd_derive(args) -> int:
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():
+        raise InputError(f"cannot write {out}: give a file path in an existing directory")
+    text = catalog.derived_text()
+    try:
+        out.write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc}") from None
+    _emit({"out": str(out)}, args, [f"wrote {out}"])
+    return EXIT_OK
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fourweight",
@@ -230,6 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-paper", help="verify the published-table claims")
     p.add_argument("--scope", default="all", help="8, 16, 32 or all")
     p.set_defaults(func=cmd_verify_paper)
+
+    p = sub.add_parser("derive", help="recompute data/derived.json from the tables")
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_derive)
 
     p = sub.add_parser("dump", help="emit a catalog code by id")
     p.add_argument("--id", required=True)

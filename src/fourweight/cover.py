@@ -69,14 +69,19 @@ def covering_radius(code: LinearCode) -> int:
 
 
 def covering_radius_bruteforce(code: LinearCode) -> int:
-    """Independent oracle: max over all 2^n vectors of the distance to the code."""
+    """Independent oracle: max over all 2^n vectors of the distance to the code.
+
+    Vectors go in blocks of at most 2^20 / 2^k rows, so a block holds about
+    2^20 words (8 MiB) whatever the dimension.
+    """
     if code.n > 16:
         raise CapacityError("brute force is guarded to n <= 16")
     words = code.words()
     worst = 0
     space = np.arange(1 << code.n, dtype=np.uint64)
-    for lo in range(0, space.size, 4096):
-        block = space[lo : lo + 4096, None] ^ words[None, :]
+    rows = max(1, (1 << 20) >> code.k)
+    for lo in range(0, space.size, rows):
+        block = space[lo : lo + rows, None] ^ words[None, :]
         worst = max(worst, int(np.bitwise_count(block).min(axis=1).max()))
     return worst
 

@@ -90,8 +90,9 @@ def test_internal_error_exits_4(capsys, code_file, monkeypatch):
     def broken(self):
         raise RuntimeError("boom")
 
+    path = code_file("C_{8,5}")  # built before the patch: load_code needs the distribution
     monkeypatch.setattr(LinearCode, "weight_distribution", broken)
-    status, out, err = run_cli(capsys, "wdist", code_file("C_{8,5}"))
+    status, out, err = run_cli(capsys, "wdist", path)
     assert status == 4 and out == ""
     assert err == "internal error: RuntimeError: boom\n"
 
@@ -215,3 +216,36 @@ def test_dump(capsys):
 def test_dump_unknown(capsys):
     status, _, err = run_cli(capsys, "dump", "--id", "C_{16,9,9}")
     assert status == 2
+
+
+def test_derive_reproduces_committed_fixture(capsys, tmp_path):
+    out = tmp_path / "derived.json"
+    status, stdout, _ = run_cli(capsys, "--format", "json", "derive", "--out", str(out))
+    assert status == 0
+    payload = json.loads(stdout)
+    validate(payload, "derive")
+    assert payload["out"] == str(out)
+    committed = resources.files("fourweight").joinpath("data", "derived.json").read_text()
+    assert out.read_text() == committed
+
+
+def test_derive_bad_path(capsys, tmp_path):
+    for bad in (tmp_path, tmp_path / "missing" / "derived.json"):
+        status, _, err = run_cli(capsys, "derive", "--out", str(bad))
+        assert status == 2 and "cannot write" in err
+
+
+def test_missing_derived_fixture_names_the_command(monkeypatch):
+    from fourweight import catalog
+    from fourweight.errors import IntegrityError
+
+    def missing(name):
+        raise FileNotFoundError(name)
+
+    monkeypatch.setattr(catalog, "_read_data", missing)
+    catalog._derived.cache_clear()
+    try:
+        with pytest.raises(IntegrityError, match="fourweight derive --out"):
+            catalog._derived()
+    finally:
+        catalog._derived.cache_clear()

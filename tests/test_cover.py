@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,9 +46,19 @@ def test_radius_matches_bruteforce(rng, n8_codes, n16_codes):
     rows=st.lists(st.integers(min_value=0, max_value=(1 << 16) - 1), max_size=10),
 )
 def test_radius_matches_bruteforce_on_random_codes(n, rows):
-    # at most 10 rows: the brute-force oracle holds a 4096 x 2^k block
+    # at most 10 rows: the brute-force oracle does 2^(n+k) word checks
     code = LinearCode(n, [row & ((1 << n) - 1) for row in rows])
     assert covering_radius(code) == covering_radius_bruteforce(code)
+
+
+def test_radius_matches_bruteforce_on_high_dimension():
+    # [16,14]: the oracle's blocks shrink with k, so its memory stays bounded
+    rng = random.Random(14)
+    pivots = rng.sample(range(16), 14)
+    free = (1 << 16) - 1 - sum(1 << p for p in pivots)
+    code = LinearCode(16, [(1 << p) | (rng.getrandbits(16) & free) for p in pivots])
+    assert code.k == 14
+    assert covering_radius_bruteforce(code) == covering_radius(code)
 
 
 def test_leader_table_shape(n16_codes):
