@@ -27,7 +27,7 @@ from fourweight.weighing import (
 )
 from fourweight.canonical import CanonicalForm, are_equivalent, canonical_form
 from fourweight.cover import CosetLeaderProfile, covering_radius, is_maximal, leader_profile
-from fourweight.classify import ClassificationReport, classify_all, classify_step, extensions
+from fourweight.classify import ClassificationReport, classify_all, classify_step
 from fourweight.catalog import all_ids, load_code, verify_claims
 
 __version__ = "0.1.0"
@@ -54,7 +54,6 @@ __all__ = [
     "classify_step",
     "covering_radius",
     "expected_distribution",
-    "extensions",
     "is_maximal",
     "leader_profile",
     "load_code",

@@ -19,10 +19,6 @@ from fourweight.errors import InputError
 SPAN_GUARD = 24
 
 
-def mask_weight(x: int) -> int:
-    return x.bit_count()
-
-
 def support_to_mask(n: int, support: Iterable[int]) -> int:
     """Pack a 1-indexed support set into an int bitmask."""
     bits = 0
@@ -107,10 +103,6 @@ class BitVector:
 
     # GF(2) addition is XOR.
     __add__ = __xor__
-
-    def __and__(self, other: "BitVector") -> "BitVector":
-        self._check_len(other)
-        return BitVector(self.n, self.bits & other.bits)
 
     def __lt__(self, other: "BitVector") -> bool:
         self._check_len(other)

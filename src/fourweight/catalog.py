@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
-from fourweight._bits import mask_to_support, support_to_mask
+from fourweight._bits import support_to_mask
 from fourweight.canonical import canonical_form
+from fourweight.classify import _layer
 from fourweight.conditions import check_conditions, reference_rm, require_certificate
 from fourweight.cover import is_maximal, leader_profile, valid_extension_vectors
 from fourweight.errors import InputError, IntegrityError
@@ -183,15 +184,13 @@ def derive_tenth_generators(progress=None) -> dict[str, list[int]]:
         if base.k != 9:
             raise IntegrityError(f"listed generators {gens} span dimension {base.k}, not 9")
         a = require_certificate(base).a
-        classes: dict[bytes, int] = {}
-        for x in valid_extension_vectors(base, a):
-            ext = base.extend(x)
-            if valid_extension_vectors(ext, a):
-                continue  # extends further: not maximal
-            key = canonical_form(ext).key
-            if key not in classes:
-                classes[key] = x
-                class_d.setdefault(key, ext.min_weight())
+        # each class keeps its least realizing vector: orbit reduction keeps
+        # orbit minima and the dedupe keeps the first of ascending candidates
+        classes: dict[bytes, tuple[int, ...]] = {}
+        for rec in _layer([(base, ())], a)[0]:
+            if not valid_extension_vectors(rec.code, a):  # maximal
+                classes[rec.key] = rec.provenance[-1]
+                class_d.setdefault(rec.key, rec.min_weight)
         if len(classes) < len(members):
             raise IntegrityError(
                 f"group {gens}: only {len(classes)} maximal extension classes "
@@ -234,8 +233,7 @@ def derive_tenth_generators(progress=None) -> dict[str, list[int]]:
                 f"{cid}: matched class has min weight {class_d[key]}, "
                 f"table says {family[cid]['d']}"
             )
-        x = group_classes[code_group[cid]][key]
-        result[cid] = list(mask_to_support(32, x))
+        result[cid] = list(group_classes[code_group[cid]][key])
     return result
 
 

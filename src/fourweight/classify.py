@@ -115,26 +115,6 @@ def _orbit_reduce(parent: LinearCode, xs: list[int]) -> list[int]:
     return [int(arr[i]) for i in keep]
 
 
-def extensions(code: LinearCode, a: int | None = None, reduce_orbits: bool = True) -> list[LinearCode]:
-    """All one-dimension extensions keeping the target weight set, one per coset.
-
-    For a qualifying code the offset is taken from its certificate; the
-    reference RM(1,m) base case needs the target offset passed explicitly.
-    """
-    if a is None:
-        result = check_conditions(code)
-        if not result.ok:
-            raise InputError(
-                "code does not qualify and no target offset was given: "
-                + "; ".join(result.violations)
-            )
-        a = result.certificate.a
-    xs = valid_extension_vectors(code, a)
-    if reduce_orbits:
-        xs = _orbit_reduce(code, xs)
-    return [code.extend(x) for x in xs]
-
-
 def _dedupe(candidates: list[tuple[LinearCode, tuple]], a: int) -> list[ClassRecord]:
     """Reduce (code, provenance) candidates to canonical-key class records."""
     by_key: dict[bytes, ClassRecord] = {}
@@ -156,6 +136,21 @@ def _dedupe(candidates: list[tuple[LinearCode, tuple]], a: int) -> list[ClassRec
     return sorted(by_key.values(), key=lambda r: r.key)
 
 
+def _layer(parents: list[tuple[LinearCode, tuple]], a: int) -> tuple[list[ClassRecord], list[bool]]:
+    """The classes one dimension above the (code, provenance) parents.
+
+    Also returns, per parent, whether it admits no valid extension, which
+    for a qualifying parent means it is maximal.
+    """
+    candidates = []
+    maximal = []
+    for code, prov in parents:
+        xs = _orbit_reduce(code, valid_extension_vectors(code, a))
+        maximal.append(not xs)
+        candidates += [(code.extend(x), prov + (mask_to_support(code.n, x),)) for x in xs]
+    return _dedupe(candidates, a), maximal
+
+
 def classify_step(seeds: list[LinearCode], a: int | None = None) -> ClassificationReport:
     """One extension layer: all classes one dimension above the seeds."""
     if not seeds:
@@ -166,11 +161,7 @@ def classify_step(seeds: list[LinearCode], a: int | None = None) -> Classificati
         if not first.ok:
             raise InputError("seed does not qualify; pass the target offset a")
         a = first.certificate.a
-    candidates = []
-    for seed, prov in ((s, ()) for s in seeds):
-        for x in _orbit_reduce(seed, valid_extension_vectors(seed, a)):
-            candidates.append((seed.extend(x), prov + (mask_to_support(n, x),)))
-    records = _dedupe(candidates, a)
+    records, _ = _layer([(s, ()) for s in seeds], a)
     return ClassificationReport(n=n, k=seeds[0].k + 1, classes=records)
 
 
@@ -192,22 +183,13 @@ def classify_all(n: int, allow_long: bool = False) -> list[ClassificationReport]
     seed = reference_rm(m)
     by_k: dict[int, list[ClassRecord]] = {}
     for a in sorted(admissible_offsets(n)):
-        current: list[tuple[LinearCode, tuple, ClassRecord | None]] = [(seed, (), None)]
-        k = seed.k
-        while current:
-            candidates = []
-            for code, prov, rec in current:
-                xs = _orbit_reduce(code, valid_extension_vectors(code, a))
-                if rec is not None:
-                    rec.maximal = not xs
-                for x in xs:
-                    candidates.append((code.extend(x), prov + (mask_to_support(n, x),)))
-            if not candidates:
-                break
-            records = _dedupe(candidates, a)
-            k += 1
-            by_k.setdefault(k, []).extend(records)
-            current = [(rec.code, rec.provenance, rec) for rec in records]
+        records, _ = _layer([(seed, ())], a)
+        while records:
+            by_k.setdefault(records[0].code.k, []).extend(records)
+            above, maximal = _layer([(rec.code, rec.provenance) for rec in records], a)
+            for rec, flag in zip(records, maximal):
+                rec.maximal = flag
+            records = above
     reports = []
     for k in sorted(by_k):
         records = sorted(by_k[k], key=lambda r: (r.a, r.key))

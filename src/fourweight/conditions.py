@@ -109,7 +109,7 @@ class ConditionCheck:
     violations: list[str] = field(default_factory=list)
 
 
-def check_conditions(code: LinearCode, reference: LinearCode | None = None) -> ConditionCheck:
+def check_conditions(code: LinearCode) -> ConditionCheck:
     """Decide both conditions for a code of power-of-two length.
 
     On success the certificate carries a = n/2 - d(C) and the closed-form
@@ -118,8 +118,6 @@ def check_conditions(code: LinearCode, reference: LinearCode | None = None) -> C
     """
     n = code.n
     m = _log2_exact(n)
-    if reference is None:
-        reference = reference_rm(m)
     violations: list[str] = []
 
     weights = set(code.weight_distribution().nonzero_weights())
@@ -147,7 +145,7 @@ def check_conditions(code: LinearCode, reference: LinearCode | None = None) -> C
     else:
         violations.append(f"condition (1): weight set {shown} has no nonzero weights")
 
-    ok_subcode = code.contains(reference)
+    ok_subcode = code.contains(reference_rm(m))
     if not ok_subcode:
         violations.append(f"condition (2): the reference RM(1,{m}) is not a subcode")
 
@@ -173,9 +171,9 @@ def check_conditions(code: LinearCode, reference: LinearCode | None = None) -> C
     )
 
 
-def require_certificate(code: LinearCode, reference: LinearCode | None = None) -> FourWeightCertificate:
+def require_certificate(code: LinearCode) -> FourWeightCertificate:
     """check_conditions, raising on failure."""
-    result = check_conditions(code, reference)
+    result = check_conditions(code)
     if result.certificate is None:
         raise InputError("; ".join(result.violations))
     return result.certificate

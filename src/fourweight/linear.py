@@ -124,10 +124,6 @@ class LinearCode:
     # -- basic structure -----------------------------------------------------
 
     @property
-    def basis(self) -> tuple[BitVector, ...]:
-        return tuple(BitVector(self.n, row) for row in self._rows)
-
-    @property
     def row_masks(self) -> tuple[int, ...]:
         return self._rows
 

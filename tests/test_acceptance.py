@@ -6,6 +6,7 @@ The length-32 reclassification runs by default; set
 ``FOURWEIGHT_SKIP_STRETCH=1`` to skip it.
 """
 
+import hashlib
 import json
 import os
 import random
@@ -239,9 +240,15 @@ def test_criterion_9_stretch_classify32(capsys):
             if parse_id(cid)[1] == k
         }
         ok &= fresh == catalog_keys
+    # the whole output, byte for byte: keys, provenance, members_seen, maximality, radii
+    text = json.dumps([rep.as_dict() for rep in reports], sort_keys=True)
+    ok &= hashlib.sha256(text.encode()).hexdigest() == (
+        "4092a01e84607221f1d3bead45706184fcf335ac65bfc55672ef481fef316fef"
+    )
     elapsed = time.time() - t0
     with capsys.disabled():
         _report(
             9, ok, elapsed,
-            f"fresh length-32 classification: maximal counts {counts}, classes = catalog",
+            f"fresh length-32 classification: maximal counts {counts}, classes = catalog, "
+            "output digest pinned",
         )

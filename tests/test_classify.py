@@ -1,8 +1,13 @@
+import hashlib
+import json
+
 import pytest
 
 from fourweight.canonical import are_equivalent
 from fourweight.catalog import load_code
-from fourweight.classify import classify_all, classify_step, extensions
+from fourweight.classify import classify_all, classify_step
+from fourweight.conditions import admissible_offsets, reference_rm, require_certificate
+from fourweight.cover import valid_extension_vectors
 from fourweight.errors import CapacityError, InputError
 from fourweight.reedmuller import rm1, rm1_fixed
 
@@ -96,16 +101,40 @@ def test_classify_step_rejects_bad_seed():
         classify_step([])
 
 
-def test_extensions_counts():
-    exts = extensions(rm1(3), a=2, reduce_orbits=False)
-    assert len(exts) == 7  # one per nontrivial weight-2 coset
-    assert all(e.k == 5 for e in exts)
+def test_extension_vector_counts():
+    xs = valid_extension_vectors(rm1(3), 2)
+    assert len(xs) == 7  # one per nontrivial weight-2 coset
+    assert all(rm1(3).extend(x).k == 5 for x in xs)
     c85 = load_code("C_{8,5}")
-    assert len(extensions(c85, reduce_orbits=False)) == 3
+    assert len(valid_extension_vectors(c85, require_certificate(c85).a)) == 3
 
 
-def test_extensions_of_self_dual_code_empty(n16_codes):
-    assert extensions(n16_codes["C_{16,8,1}"]) == []
+def test_self_dual_code_has_no_extension_vectors(n16_codes):
+    code = n16_codes["C_{16,8,1}"]
+    assert valid_extension_vectors(code, require_certificate(code).a) == []
+
+
+def _digest(reports):
+    text = json.dumps([rep.as_dict() for rep in reports], sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_classification_output_pinned(reports8, reports16):
+    # keys, provenance, members_seen, maximality and radii, byte for byte
+    assert _digest(reports8) == "2edb2927125126b534a5370ca0be746df5b3dbf99de7a1a497ac0fd3ee77c96c"
+    assert _digest(reports16) == "81963ce5248e9cdfb762dab758b8ded25f8545593f67c4dee68298773671f439"
+
+
+def test_classify_step_matches_classify_all_layers(reports16):
+    for a in sorted(admissible_offsets(16)):
+        layers = [[rec for rec in rep.classes if rec.a == a] for rep in reports16]
+        seeds = [reference_rm(4)]
+        for above in [layer for layer in layers if layer] + [[]]:
+            step = classify_step(seeds, a)
+            assert [(r.key, r.members_seen) for r in step.classes] == [
+                (r.key, r.members_seen) for r in above
+            ]
+            seeds = [rec.code for rec in above]
 
 
 def test_classify32_requires_flag():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fourweight.canonical import apply_permutation, are_equivalent
-from fourweight.conditions import require_certificate
+from fourweight.conditions import admissible_offsets, reference_rm, require_certificate
 from fourweight.cover import (
     covering_radius,
     covering_radius_bruteforce,
@@ -123,20 +123,39 @@ def test_triply_even_code_needs_slow_path():
     assert res.radius == 12  # radius >= n/2 - a = 8, so the bound is useless
 
 
-def test_dual_restriction_matches_full_scan(n16_codes):
-    # doubly even branch: scanning C-perp/C must equal scanning everything
-    code = n16_codes["C_{16,6,2}"]
-    cert = require_certificate(code)
-    xs_dual = valid_extension_vectors(code, cert.a)
-    words = code.words()
-    allowed = {4, 8, 12}
-    brute = []
-    seen = set()
-    for x in range(1 << 16):
-        if x in seen:
-            continue
-        coset = words ^ np.uint64(x)
-        seen.update(int(w) for w in coset)
-        if x and set(np.bitwise_count(coset).tolist()) <= allowed:
-            brute.append(sorted(int(w) for w in coset))
-    assert sorted(sorted(int(w) for w in (words ^ np.uint64(x))) for x in xs_dual) == sorted(brute)
+def _naive_valid_cosets(code, allowed):
+    """Least element of each coset x + C whose weights all lie in allowed."""
+    space = np.arange(1 << code.n, dtype=np.uint64)
+    ok_weight = np.isin(np.arange(code.n + 1), sorted(allowed))
+    ok = np.ones(space.size, dtype=bool)
+    least = space.copy()
+    for w in code.words():
+        shifted = space ^ w
+        ok &= ok_weight[np.bitwise_count(shifted)]
+        np.minimum(least, shifted, out=least)
+    return set(least[ok].tolist())
+
+
+BRANCHES = [(n, a) for n in (4, 8, 16) for a in sorted(admissible_offsets(n))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(branch=st.sampled_from(BRANCHES), data=st.data())
+def test_coset_filter_matches_naive_enumeration(branch, data):
+    # (16, 4) is the doubly even branch: it scans only C-perp/C, which is
+    # complete for doubly even codes, so there the codes grow from RM(1,4)
+    # along naively valid cosets; the full-space scan takes any code with RM(1,m)
+    n, a = branch
+    allowed = {n // 2 - a, n // 2, n // 2 + a}
+    code = reference_rm(n.bit_length() - 1)
+    if any(w % 4 for w in allowed):
+        rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=3))
+        code = LinearCode(n, list(code.row_masks) + rows)
+    for _ in range(data.draw(st.integers(1, 4))):
+        naive = _naive_valid_cosets(code, allowed)
+        words = code.words()
+        xs = valid_extension_vectors(code, a)
+        assert sorted(int((words ^ np.uint64(x)).min()) for x in xs) == sorted(naive)
+        if not naive:
+            break
+        code = code.extend(data.draw(st.sampled_from(sorted(naive))))
