@@ -1,9 +1,14 @@
 """Covering radius via a syndrome-space sweep, and the maximality test.
 
-The coset-leader table over all 2^(n-k) syndromes starts from popcount,
-which is exact for the n-k pivot coordinates of the dual basis, and takes
-one relaxation pass per remaining coordinate (time O(2^(n-k) k), one byte
-per syndrome), instead of scanning 2^n vectors.  Maximality of a
+The coset-leader table holds one byte for each of the 2^(n-k) syndromes,
+instead of scanning 2^n vectors.  The n-k pivot coordinates of the dual
+basis have the unit syndromes, so a leader spends some subset x of the k
+other coordinates plus unit columns, and the least leader weight is
+dist(s) = min over x of wt(x) + popcount(s ^ Hx).  Popcount is a sum
+over bits, so splitting s into its top e bits and the rest is exact: each
+subset of e coordinates fills one row of the table with its popcount
+over the low bits, and the top e unit columns are spent by one
+contiguous pass per bit (see backend.leader_weights).  Maximality of a
 qualifying code asks whether some coset could extend it within the same
 weight set; when the weight set is doubly even any extension vector must
 lie in the dual, so the scan shrinks to the 2^(n-2k) cosets of C inside

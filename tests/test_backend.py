@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -8,10 +9,14 @@ import pytest
 
 from fourweight import backend
 from fourweight.catalog import all_ids, load_code
+from fourweight.classify import classify_step
 from fourweight.cover import _column_syndromes, _extension_candidates
 from fourweight.errors import CapacityError
 from fourweight.linear import LinearCode
-from fourweight.reedmuller import rm1
+from fourweight.reedmuller import rm1, rm1_fixed
+
+# sha256 of the leader tables of all catalog codes, concatenated in all_ids() order
+CATALOG_LEADER_SHA256 = "a65fe72a79d67d383c2dbf2292634d6165d480ac71e8d26b2cb63240623781bd"
 
 
 def chunked_filter_oracle(words, reps, allowed):
@@ -40,6 +45,28 @@ def relaxation_oracle(cols, r):
         view = cube[tuple(flip if (h >> (r - 1 - i)) & 1 else keep for i in range(r))]
         cube = np.minimum(cube, view + np.uint8(1))
     return cube.reshape(-1)
+
+
+def popcount_relaxation_oracle(cols, r):
+    """Reference leader sweep: popcount for the unit columns, then one reversed-view pass per other column."""
+    rest = cols.tolist()
+    for i in range(r):
+        rest.remove(1 << i)
+    dist = np.empty(1 << r, dtype=np.uint8)
+    dist[0] = 0
+    for i in range(r):
+        np.add(dist[: 1 << i], 1, out=dist[1 << i : 2 << i])
+    cube = dist.reshape((2,) * r)
+    tmp = np.empty_like(cube)
+    flip = slice(None, None, -1)
+    keep = slice(None)
+    for h in rest:
+        if h == 0:
+            continue
+        view = cube[tuple(flip if (h >> (r - 1 - i)) & 1 else keep for i in range(r))]
+        np.add(view, 1, out=tmp)
+        np.minimum(cube, tmp, out=cube)
+    return dist
 
 
 def _mask(weights):
@@ -101,6 +128,65 @@ def test_leader_weights_match_relaxation_on_random_codes():
             code = LinearCode(n, [rng.getrandbits(n) for _ in range(k)])
             cols, r = _column_syndromes(code)
             assert np.array_equal(backend.leader_weights(cols, r), relaxation_oracle(cols, r))
+
+
+def _assert_matches_popcount_relaxation(cols, r):
+    got = backend.leader_weights(cols, r)
+    assert got.dtype == np.uint8 and got.size == 1 << r
+    assert got.tobytes() == popcount_relaxation_oracle(cols, r).tobytes()
+
+
+def test_leader_weights_match_popcount_relaxation_on_random_codes():
+    rng = random.Random(11)
+    cap = backend.ENUM_CAP
+    regimes = {"r = 0": 0, "e = r < k": 0, "k > cap, r > cap": 0, "e = k < r": 0}
+    for n, k in ((5, 5), (9, 9), (12, 10), (18, 14), (20, 16), (30, 14), (29, 13), (16, 5), (24, 8)):
+        for _ in range(3):
+            cols, r = _column_syndromes(LinearCode(n, [rng.getrandbits(n) for _ in range(k)]))
+            k_eff = sum(1 for h in cols.tolist() if h) - r  # nonzero non-pivot columns
+            regimes["r = 0"] += r == 0
+            regimes["e = r < k"] += 0 < r < k_eff and r <= cap
+            regimes["k > cap, r > cap"] += k_eff > cap and r > cap
+            regimes["e = k < r"] += 0 < k_eff < r
+            _assert_matches_popcount_relaxation(cols, r)
+    assert all(regimes.values()), regimes
+
+
+def test_leader_weights_match_popcount_relaxation_with_dependent_columns():
+    # the top e bits of the non-pivot columns span only 2 dimensions, so
+    # several subsets share one row of the table with different low parts
+    rng = random.Random(12)
+    for r, k in ((10, 4), (14, 5), (16, 12)):
+        e = min(k + 1, r, backend.ENUM_CAP)
+        tops = [rng.getrandbits(e) << (r - e) for _ in range(2)]
+        rest = [rng.choice([0, tops[0], tops[1], tops[0] ^ tops[1]]) | rng.getrandbits(r - e) for _ in range(k)]
+        rest += [rest[0], 0]  # a repeated column and a zero column
+        rng.shuffle(rest)
+        cols = np.array([1 << i for i in range(r)] + rest, dtype=np.uint64)
+        _assert_matches_popcount_relaxation(cols, r)
+
+
+def test_leader_weights_match_popcount_relaxation_on_a8_branch():
+    # the r = 25..22 classes of the a = 8 branch at length 32
+    seeds, rs = [rm1_fixed(5)], []
+    while True:
+        classes = classify_step(seeds, 8).classes
+        if not classes:
+            break
+        seeds = [rec.code for rec in classes]
+        for code in seeds:
+            cols, r = _column_syndromes(code)
+            rs.append(r)
+            _assert_matches_popcount_relaxation(cols, r)
+    assert sorted(set(rs)) == [22, 23, 24, 25]
+
+
+def test_leader_tables_catalog_digest():
+    digest = hashlib.sha256()
+    for cid in all_ids():
+        cols, r = _column_syndromes(load_code(cid))
+        digest.update(backend.leader_weights(cols, r).tobytes())
+    assert digest.hexdigest() == CATALOG_LEADER_SHA256
 
 
 def _catalog_ids_for_leader_check():
