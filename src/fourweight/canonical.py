@@ -5,10 +5,11 @@ column partitions: columns are iteratively colored by their incidence
 pattern with codeword weight classes, a target cell is branched on, and
 the minimum (node-invariant trace, sorted permuted codeword list) over
 the explored tree defines the canonical coordinate order.  Discovered
-automorphisms prune sibling branches, and subtrees whose invariant trace
-already exceeds the best leaf are cut.  Equal keys hold exactly for
-equivalent codes; the search realizes the key through an explicit
-witness permutation.
+automorphisms prune sibling branches, a leaf that reveals one backjumps
+to the depth where its path leaves the best leaf's, and subtrees whose
+invariant trace already exceeds the best leaf are cut.  Equal keys hold
+exactly for equivalent codes; the search realizes the key through an
+explicit witness permutation.
 """
 
 from __future__ import annotations
@@ -142,7 +143,9 @@ class _Search:
         self.best_key: np.ndarray | None = None
         self.best_trace: list[tuple] = []
         self.best_perm: np.ndarray | None = None
+        self.best_path: list[int] = []
         self.gens: list[tuple[int, ...]] = []
+        self.nodes = 0
 
     # -- partition machinery -------------------------------------------------
 
@@ -225,12 +228,26 @@ class _Search:
         trace: list[tuple],
         path: list[int],
         better: bool,
-    ) -> None:
+    ) -> int | None:
+        """Search the subtree below `path`; returns a backjump depth or None.
+
+        A leaf whose key equals the best key yields the automorphism g
+        taking the best leaf to it.  Its trace equals the best trace, and
+        refinement is label-invariant and splits cells in place, so g maps
+        the best path onto this one position by position: it fixes their
+        common prefix and carries the child of the depth-d node (d, the
+        first position where they differ) that holds the best leaf onto
+        the child this leaf lies in.  That sibling subtree was searched
+        earlier, so no leaf below this child can be strictly better: every
+        node deeper than d returns at once, and the depth-d node goes on
+        to its next candidate.
+        """
+        self.nodes += 1
         depth = len(path)
         if not better:
             ref = self.best_trace[depth]
             if inv > ref:
-                return
+                return None
             if inv < ref:
                 better = True
 
@@ -239,20 +256,24 @@ class _Search:
             key, perm = self._leaf_key(colors)
             if better or self.best_key is None:
                 self.best_key, self.best_perm = key, perm
-                self.best_trace = list(trace)
-                return
+                self.best_trace, self.best_path = list(trace), list(path)
+                return None
             if np.array_equal(key, self.best_key):
                 g = np.empty(self.n, dtype=np.int64)
                 g[self.best_perm] = perm
                 g_t = tuple(int(x) for x in g)
                 if g_t not in self.gens and any(g[i] != i for i in range(self.n)):
                     self.gens.append(g_t)
-                return
+                # Two leaves: neither path is a prefix of the other.
+                common = min(depth, len(self.best_path))
+                diverge = [i for i in range(common) if path[i] != self.best_path[i]]
+                assert diverge, "two leaves share a path"
+                return diverge[0]
             idx = int(np.flatnonzero(key != self.best_key)[0])
             if key[idx] < self.best_key[idx]:
                 self.best_key, self.best_perm = key, perm
-                self.best_trace = list(trace)
-            return
+                self.best_trace, self.best_path = list(trace), list(path)
+            return None
 
         sizes = np.bincount(colors, minlength=ncol)
         target = int(np.flatnonzero(sizes > 1)[0])
@@ -272,9 +293,11 @@ class _Search:
             child, child_inv = self.refine(child)
             path.append(c)
             trace.append(child_inv)
-            self._node(child, child_inv, trace, path, better)
+            jump = self._node(child, child_inv, trace, path, better)
             trace.pop()
             path.pop()
+            if jump is not None and jump < depth:
+                return jump
             # A strictly better branch replaced best; siblings now compare
             # against the new best, so the 'better' flag must be recomputed.
             if better and self.best_key is not None:
@@ -282,7 +305,8 @@ class _Search:
                 if trace != self.best_trace[: len(trace)]:
                     better = trace < self.best_trace[: len(trace)]
                     if not better:
-                        return
+                        return None
+        return None
 
 
 @dataclass(frozen=True)
@@ -324,7 +348,11 @@ def canonical_code(code: LinearCode) -> LinearCode:
 
 
 def automorphism_generators(code: LinearCode) -> tuple[tuple[int, ...], ...]:
-    """Automorphisms discovered during canonicalization (a subgroup, not always all)."""
+    """Automorphisms discovered during canonicalization.
+
+    The search backjumps after each one it finds, so these generate a
+    subgroup of the automorphism group, not always all of it.
+    """
     return _canonicalize(code).gens
 
 

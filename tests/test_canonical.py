@@ -20,10 +20,14 @@ from fourweight.canonical import (
     find_isomorphism_bruteforce,
     permute_columns,
 )
+from fourweight import classify
 from fourweight.catalog import all_ids, load_code
+from fourweight.classify import _orbit_reduce, classify_all, classify_step
+from fourweight.conditions import require_certificate
+from fourweight.cover import valid_extension_vectors
 from fourweight.errors import CapacityError, InputError
 from fourweight.linear import LinearCode
-from fourweight.reedmuller import rm1
+from fourweight.reedmuller import rm1, rm1_fixed
 
 from conftest import random_permutation
 
@@ -110,18 +114,159 @@ def test_length32_permuted_copy(rng):
 
 
 def test_golden_keys_witnesses_and_generators():
-    # pins every key, witness and generator tuple on the 205 catalog codes;
-    # the [32,10] tenth generators in derived.json are matched in key order
+    # pins every key and witness on the 205 catalog codes; the [32,10] tenth
+    # generators in derived.json are matched in key order.  The generator
+    # tuples depend on where the search backjumps, so instead of a digest
+    # each one is checked to be an automorphism.
     ids = all_ids(8) + all_ids(16) + all_ids(32)
     keys = b"\n".join(canonical_form(load_code(c)).key for c in ids)
     assert hashlib.sha256(keys).hexdigest() == (
         "5acecce6062ac51efcaa68e5afaf7a9d335f5b57ba57474337198259a688098e"
     )
     results = [_canonicalize(load_code(c)) for c in ids]
-    full = repr([(r.form.key, r.form.witness, r.gens) for r in results]).encode()
+    full = repr([(r.form.key, r.form.witness) for r in results]).encode()
     assert hashlib.sha256(full).hexdigest() == (
-        "f71bfbd803245d349a5baf4adcfcd306f4bbff76f3f1b2bca42b48203ce76c22"
+        "7dbe01003f048606ef9e70493a7b96da95a02fa29f49f5f053fed6b5caf91919"
     )
+    for cid, r in zip(ids, results):
+        code = load_code(cid)
+        for g in r.gens:
+            assert apply_permutation(code, g) == code
+
+
+class NoJumpSearch(_Search):
+    """The search without backjumping: a leaf equal to the best only adds a generator."""
+
+    def _node(self, colors, inv, trace, path, better):
+        self.nodes += 1
+        depth = len(path)
+        if not better:
+            ref = self.best_trace[depth]
+            if inv > ref:
+                return
+            if inv < ref:
+                better = True
+
+        ncol = int(colors.max()) + 1
+        if ncol == self.n:
+            key, perm = self._leaf_key(colors)
+            if better or self.best_key is None:
+                self.best_key, self.best_perm = key, perm
+                self.best_trace = list(trace)
+                return
+            if np.array_equal(key, self.best_key):
+                g = np.empty(self.n, dtype=np.int64)
+                g[self.best_perm] = perm
+                g_t = tuple(int(x) for x in g)
+                if g_t not in self.gens and any(g[i] != i for i in range(self.n)):
+                    self.gens.append(g_t)
+                return
+            idx = int(np.flatnonzero(key != self.best_key)[0])
+            if key[idx] < self.best_key[idx]:
+                self.best_key, self.best_perm = key, perm
+                self.best_trace = list(trace)
+            return
+
+        sizes = np.bincount(colors, minlength=ncol)
+        target = int(np.flatnonzero(sizes > 1)[0])
+        candidates = sorted(int(c) for c in np.flatnonzero(colors == target))
+        tried: list[int] = []
+        parent = list(range(self.n))
+        seen = 0
+        for c in candidates:
+            if tried:
+                seen = self._fold_orbits(parent, seen, path)
+                root = _find(parent, c)
+                if any(_find(parent, t) == root for t in tried):
+                    continue
+            tried.append(c)
+            child = colors * 2
+            child[c] -= 1
+            child, child_inv = self.refine(child)
+            path.append(c)
+            trace.append(child_inv)
+            self._node(child, child_inv, trace, path, better)
+            trace.pop()
+            path.pop()
+            if better and self.best_key is not None:
+                better = False
+                if trace != self.best_trace[: len(trace)]:
+                    better = trace < self.best_trace[: len(trace)]
+                    if not better:
+                        return
+
+
+def _searched(cls, code):
+    search = cls(code)
+    search.run()
+    return search
+
+
+def test_backjump_visits_fewer_nodes():
+    # the counts are pinned as well: a search that resumes below the
+    # diverging node still beats the oracle, but visits more nodes
+    for cid, pinned in (("C_{32,9,92}", (106, 250)), ("C_{32,10,102}", (119, 392))):
+        code = load_code(cid)
+        jump, nojump = _searched(_Search, code), _searched(NoJumpSearch, code)
+        assert jump.nodes < nojump.nodes
+        assert (jump.nodes, nojump.nodes) == pinned
+
+
+def test_backjump_keeps_keys_and_witnesses(rng, n16_codes):
+    codes = list(n16_codes.values()) + [load_code("C_{32,9,92}"), load_code("C_{32,11,2}")]
+    for code in codes:
+        for _ in range(3):
+            image = apply_permutation(code, random_permutation(rng, code.n))
+            jump, nojump = _searched(_Search, image), _searched(NoJumpSearch, image)
+            assert np.array_equal(jump.best_key, nojump.best_key)
+            assert np.array_equal(jump.best_perm, nojump.best_perm)
+
+
+def test_best_path_leads_to_best_leaf():
+    # backjumps are measured against best_path, so it must follow every
+    # replacement of the best leaf, including by a strictly smaller key
+    for cid in all_ids(8) + all_ids(16) + all_ids(32):
+        search = _searched(_Search, load_code(cid))
+        colors, _ = search.refine(np.zeros(search.n, dtype=np.int64))
+        for c in search.best_path:
+            child = colors * 2
+            child[c] -= 1
+            colors, _ = search.refine(child)
+        key, perm = search._leaf_key(colors)
+        assert np.array_equal(key, search.best_key) and np.array_equal(perm, search.best_perm)
+
+
+def _same_orbit_reps(code, a):
+    """_orbit_reduce under the backjumping search's generators and under the oracle's."""
+    xs = valid_extension_vectors(code, a)
+    got = _orbit_reduce(code, xs)
+    gens = tuple(_searched(NoJumpSearch, code).gens)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify, "automorphism_generators", lambda c: gens)
+        want = _orbit_reduce(code, xs)
+    assert got == want
+
+
+def test_orbit_reduce_matches_nojump_generators():
+    parents = []
+    for cid in all_ids(8) + all_ids(16) + all_ids(32):
+        code = load_code(cid)
+        a = require_certificate(code).a
+        if valid_extension_vectors(code, a):
+            parents.append((code, a))
+    assert len(parents) == 5
+    for rep in classify_all(16):
+        parents += [(rec.code, rec.a) for rec in rep.classes]
+    for code, a in parents:
+        _same_orbit_reps(code, a)
+    # the a = 8 branch at length 32, layer by layer
+    seeds, layers = [rm1_fixed(5)], 0
+    while seeds:
+        for code in seeds:
+            _same_orbit_reps(code, 8)
+        seeds = [rec.code for rec in classify_step(seeds, 8).classes]
+        layers += 1
+    assert layers == 5
 
 
 def refine_oracle(search, colors):
