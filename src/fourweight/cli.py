@@ -10,6 +10,7 @@ import argparse
 import json
 import random
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from fourweight import catalog
@@ -39,6 +40,15 @@ def _emit(payload: dict, args, text_lines=None) -> None:
 
 def _load(path: str) -> LinearCode:
     return LinearCode.from_file(path)
+
+
+@contextmanager
+def _writing(path):
+    """Yield path as a Path; an OSError while writing there is bad input (exit 2)."""
+    try:
+        yield Path(path)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
 
 
 def cmd_rm(args) -> int:
@@ -119,10 +129,6 @@ def cmd_quwm(args) -> int:
     rng = random.Random(args.seed) if args.randomized else None
     qs = build_quwm_set(code, rng=rng, source=args.code)
     ver = qs.verify()
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for i, mat in enumerate(qs.matrices, start=1):
-        (outdir / f"H_{i}.txt").write_text(matrix_to_text(mat))
     report = {
         "params": list(qs.params.as_tuple()),
         "count": len(qs),
@@ -130,7 +136,11 @@ def cmd_quwm(args) -> int:
         "zero_count_per_row": list(ver.zero_counts_per_row),
         "source": args.code,
     }
-    (outdir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    with _writing(args.out) as outdir:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for i, mat in enumerate(qs.matrices, start=1):
+            (outdir / f"H_{i}.txt").write_text(matrix_to_text(mat))
+        (outdir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     _emit(report, args, [
         f"wrote {len(qs)} matrices to {outdir}",
         f"params {qs.params.as_tuple()}, all pairs pass: {ver.all_pass}",
@@ -150,14 +160,14 @@ def cmd_classify(args) -> int:
                 f" radius={rec.covering_radius}"
             )
     if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "classification.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
-        for rep in reports:
-            for i, rec in enumerate(rep.classes, start=1):
-                (outdir / f"n{rep.n}_k{rep.k}_{i}.code").write_text(rec.code.to_text())
+        with _writing(args.out) as outdir:
+            outdir.mkdir(parents=True, exist_ok=True)
+            (outdir / "classification.json").write_text(
+                json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            )
+            for rep in reports:
+                for i, rec in enumerate(rep.classes, start=1):
+                    (outdir / f"n{rep.n}_k{rep.k}_{i}.code").write_text(rec.code.to_text())
         lines.append(f"wrote representatives to {outdir}")
     _emit(payload, args, lines)
     return EXIT_OK
@@ -173,7 +183,8 @@ def cmd_verify_paper(args) -> int:
 def cmd_dump(args) -> int:
     code = catalog.load_code(args.id)
     if args.out:
-        code.save(args.out)
+        with _writing(args.out):
+            code.save(args.out)
     else:
         sys.stdout.write(code.to_text())
     return EXIT_OK
@@ -184,10 +195,8 @@ def cmd_derive(args) -> int:
     if out.is_dir() or not out.parent.is_dir():
         raise InputError(f"cannot write {out}: give a file path in an existing directory")
     text = catalog.derived_text()
-    try:
+    with _writing(out):
         out.write_text(text)
-    except OSError as exc:
-        raise InputError(f"cannot write {out}: {exc}") from None
     _emit({"out": str(out)}, args, [f"wrote {out}"])
     return EXIT_OK
 

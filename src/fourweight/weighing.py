@@ -5,8 +5,11 @@ product of psi(x) and psi(y) is n - 2 wt(x + y).  Each coset of the
 reference RM(1,m) inside a qualifying code is closed under complement;
 picking one vector per antipodal pair and applying psi yields rows of a
 Hadamard matrix, and distinct cosets yield quasi-unbiased pairs for
-parameters (n, n, (n/2a)^2, 4a^2).  Verification never materializes
-sqrt(a): squared entries are compared against a exactly.
+parameters (n, n, (n/2a)^2, 4a^2).  One sign map, ``_signs``, builds a
+code's whole (s, n, n) stack; the checks run on the stack, every pair
+i < j through batched float64 products that are exact (see
+``QuwmSet.verify``).  Verification never materializes sqrt(a): squared
+entries are compared against a exactly.
 """
 
 from __future__ import annotations
@@ -23,22 +26,33 @@ from fourweight.errors import InputError
 from fourweight.linear import LinearCode
 
 
+def _signs(words, n: int) -> np.ndarray:
+    """psi of every n-bit word in an array: int8 signs on a new last axis, coordinate 1 first."""
+    bits = np.asarray(words, dtype=np.uint64)[..., None] >> np.arange(n - 1, -1, -1, dtype=np.uint64)
+    return 1 - 2 * (bits & np.uint64(1)).astype(np.int8)
+
+
 def psi(v: BitVector) -> np.ndarray:
     """Coordinatewise sign vector: 0 -> +1, 1 -> -1 (int8, coordinate 1 first)."""
-    n = v.n
-    bits = (np.uint64(v.bits) >> np.arange(n - 1, -1, -1, dtype=np.uint64)) & np.uint64(1)
-    return (1 - 2 * bits.astype(np.int8)).astype(np.int8)
+    return _signs(v.bits, v.n)
 
 
 def psi_inverse(row: np.ndarray) -> BitVector:
-    n = len(row)
-    bits = 0
-    for i, e in enumerate(row):
-        if e == -1:
-            bits |= 1 << (n - 1 - i)
-        elif e != 1:
-            raise InputError(f"entry {e} is not a sign")
-    return BitVector(n, bits)
+    bad = [e for e in row if e not in (-1, 1)]
+    if bad:
+        raise InputError(f"entry {bad[0]} is not a sign")
+    return BitVector(len(row), sum(1 << i for i, e in enumerate(reversed(row)) if e == -1))
+
+
+def _split(words: np.ndarray, n: int, rng: random.Random | None) -> np.ndarray:
+    """Per sorted row of complement-closed n-bit words, its sorted first-coordinate-0 half;
+    an rng draws once per word of it, row by row, and complements where the draw is >= 1/2."""
+    low = words[:, : words.shape[1] // 2]
+    if rng is None:
+        return low
+    draws = np.fromiter((rng.random() for _ in range(low.size)), dtype=np.float64, count=low.size)
+    picked = np.where(draws.reshape(low.shape) < 0.5, low, low ^ np.uint64((1 << n) - 1))
+    return np.sort(picked, axis=1)
 
 
 def antipodal_split(
@@ -53,8 +67,8 @@ def antipodal_split(
     if not coset:
         raise InputError("empty coset")
     n = coset[0].n
-    if any(v.n != n for v in coset):
-        raise InputError("coset mixes vector lengths")
+    if n > 64 or any(v.n != n for v in coset):
+        raise InputError("coset vectors must share one length of at most 64")
     values = {v.bits for v in coset}
     if len(values) != len(coset):
         raise InputError("coset contains repeated vectors")
@@ -65,17 +79,8 @@ def antipodal_split(
             f"coset is not closed under complement: {BitVector(n, missing[0]).to01()}"
             " has no antipodal partner"
         )
-    picked = []
-    for v in sorted(values):
-        partner = v ^ ones
-        if rng is None:
-            if not (v >> (n - 1)) & 1:
-                picked.append(v)
-        else:
-            if v < partner:
-                picked.append(v if rng.random() < 0.5 else partner)
-    picked.sort()
-    return [BitVector(n, v) for v in picked]
+    picked = _split(np.array([sorted(values)], dtype=np.uint64), n, rng)[0]
+    return [BitVector(n, int(v)) for v in picked]
 
 
 @dataclass(frozen=True)
@@ -99,51 +104,30 @@ class QuwmParams:
         return (self.n, self.k, self.l, self.a)
 
 
+def _weighing_checks(x: np.ndarray, a: int, weight: int) -> np.ndarray:
+    """Per matrix X of the float64 stack x: squared entries in {0, a}, `weight` nonzeros
+    per row and column, and X X^T = a*weight*I."""
+    sq = x * x
+    nz = x != 0
+    return (
+        ((sq == 0) | (sq == a)).all(axis=(1, 2))
+        & (nz.sum(axis=2) == weight).all(axis=1)
+        & (nz.sum(axis=1) == weight).all(axis=1)
+        & (np.matmul(x, x.transpose(0, 2, 1)) == a * weight * np.eye(x.shape[-1])).all(axis=(1, 2))
+    )
+
+
 def verify_weighing(w_matrix: np.ndarray, weight: int) -> bool:
     """True iff entries lie in {-1,0,1}, rows/columns have exactly `weight` nonzeros, and W W^T = weight I."""
     w = np.asarray(w_matrix, dtype=np.int64)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         return False
-    if not np.isin(w, (-1, 0, 1)).all():
-        return False
-    nz = w != 0
-    if not (nz.sum(axis=1) == weight).all() or not (nz.sum(axis=0) == weight).all():
-        return False
-    n = w.shape[0]
-    return bool((w @ w.T == weight * np.eye(n, dtype=np.int64)).all())
+    return bool(_weighing_checks(w[None].astype(np.float64), 1, weight)[0])  # exact for signs
 
 
 def verify_quasi_unbiased(w1: np.ndarray, w2: np.ndarray, params: QuwmParams) -> bool:
-    """Exact check that (1/sqrt(a)) W1 W2^T is a weighing matrix of weight l.
-
-    All arithmetic stays in integers: entries e of W1 W2^T must satisfy
-    e^2 in {0, a}, each row and column must carry exactly l nonzeros, and
-    (W1 W2^T)(W1 W2^T)^T must equal a*l*I.
-    """
-    return _quasi_unbiased_report(w1, w2, params)["ok"]
-
-
-def _quasi_unbiased_report(w1: np.ndarray, w2: np.ndarray, params: QuwmParams) -> dict:
-    a1 = np.asarray(w1, dtype=np.int64)
-    a2 = np.asarray(w2, dtype=np.int64)
-    n = params.n
-    if a1.shape != (n, n) or a2.shape != (n, n):
-        raise InputError(f"matrices must both have order {n}")
-    prod = a1 @ a2.T
-    sq = prod * prod
-    bad = np.argwhere((sq != 0) & (sq != params.a))
-    if bad.size:
-        i, j = map(int, bad[0])
-        return {"ok": False, "bad_entry": (i, j, int(prod[i, j])), "zero_counts": None}
-    nz = prod != 0
-    counts_ok = (nz.sum(axis=1) == params.l).all() and (nz.sum(axis=0) == params.l).all()
-    gram_ok = (prod @ prod.T == params.a * params.l * np.eye(n, dtype=np.int64)).all()
-    zero_counts = sorted(set(int(c) for c in (~nz).sum(axis=1)))
-    return {
-        "ok": bool(counts_ok and gram_ok),
-        "bad_entry": None,
-        "zero_counts": zero_counts,
-    }
+    """Exact check that (1/sqrt(a)) W1 W2^T is a weighing matrix of weight l."""
+    return not QuwmSet(params, (w1, w2)).verify().failed_pairs
 
 
 @dataclass
@@ -166,18 +150,31 @@ class QuwmSet:
         return len(self.matrices)
 
     def verify(self) -> QuwmVerification:
-        """Full pairwise verification; aggregates every failure, not the first."""
-        n = self.params.n
-        hadamard_ok = tuple(verify_weighing(h, n) for h in self.matrices)
-        failed = []
+        """Full pairwise verification; aggregates every failure, not the first.
+
+        H_i must be a weighing matrix of weight n, and (1/sqrt(a)) H_i H_j^T
+        one of weight l for each i < j; row block i takes every H_i H_j^T,
+        j > i, from one batched product.
+        """
+        n, a, l = self.params.n, self.params.a, self.params.l
+        if any(np.shape(h) != (n, n) for h in self.matrices):
+            raise InputError(f"matrices must all have order {n}")
+        h = np.array(self.matrices, dtype=np.int64).reshape(-1, n, n)
+        # float64 is exact here: with M the largest |entry|, every entry and
+        # partial sum of H_i H_j^T is at most n M^2 and of its Gram matrix at
+        # most n^3 M^4, all integers below 2^53, so nothing rounds in any order.
+        big = max(int(h.max(initial=0)), -int(h.min(initial=0)))
+        if len(h) > 1 and n**3 * big**4 >= 2**53:
+            raise InputError(f"entries up to {big} make order-{n} products inexact in float64")
+        f = h.astype(np.float64)
+        hadamard_ok = tuple(_weighing_checks(f, 1, n).tolist())
+        failed: list[tuple[int, int]] = []
         zero_counts: set[int] = set()
-        for i in range(len(self.matrices)):
-            for j in range(i + 1, len(self.matrices)):
-                rep = _quasi_unbiased_report(self.matrices[i], self.matrices[j], self.params)
-                if not rep["ok"]:
-                    failed.append((i, j))
-                else:
-                    zero_counts.update(rep["zero_counts"])
+        for i in range(len(f) - 1):
+            p = np.matmul(f[i], f[i + 1 :].transpose(0, 2, 1))
+            ok = _weighing_checks(p, a, l)
+            failed += [(i, i + 1 + int(j)) for j in np.flatnonzero(~ok)]
+            zero_counts.update((p[ok] == 0).sum(axis=2).ravel().tolist())
         return QuwmVerification(
             all_pass=all(hadamard_ok) and not failed,
             hadamard_ok=hadamard_ok,
@@ -202,18 +199,12 @@ def build_quwm_set(
     if cert is None:
         cert = require_certificate(code)
     rm = reference_rm(cert.m)
-    table = code.coset_table(rm)
-    rm_words = sorted(int(w) for w in rm.words())
-    n = code.n
-    matrices = []
-    for rep in table.representatives:
-        coset = [BitVector(n, w ^ rep.bits) for w in rm_words]
-        chosen = antipodal_split(coset, rng=rng)
-        rows = np.stack([psi(v) for v in chosen])
-        matrices.append(rows)
-    params = QuwmParams(n=n, k=n, l=cert.l, a=4 * cert.a * cert.a)
-    assert len(matrices) == cert.qw_set_size
-    return QuwmSet(params=params, matrices=tuple(matrices), source=source)
+    reps = np.array([rep.bits for rep in code.coset_table(rm).representatives], dtype=np.uint64)
+    cosets = np.sort(reps[:, None] ^ rm.words()[None, :], axis=1)  # closed under complement
+    signs = _signs(_split(cosets, code.n, rng), code.n)
+    params = QuwmParams(n=code.n, k=code.n, l=cert.l, a=4 * cert.a * cert.a)
+    assert len(signs) == cert.qw_set_size
+    return QuwmSet(params=params, matrices=tuple(signs), source=source)
 
 
 def matrix_to_text(w: np.ndarray) -> str:

@@ -171,6 +171,15 @@ def test_quwm_idempotent_outputs(capsys, code_file, tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_quwm_out_is_existing_file(capsys, code_file, tmp_path):
+    path = code_file("C_{8,5}")
+    taken = tmp_path / "taken.txt"
+    taken.write_text("keep\n")
+    status, out, err = run_cli(capsys, "quwm", "--code", path, "--out", str(taken))
+    assert status == 2 and out == "" and err.startswith("error: cannot write")
+    assert taken.read_text() == "keep\n"
+
+
 def test_classify8(capsys, tmp_path):
     outdir = tmp_path / "cls"
     status, out, _ = run_cli(
@@ -192,6 +201,13 @@ def test_classify_outputs_idempotent(capsys, tmp_path):
     assert names == sorted(p.name for p in out2.iterdir())
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_classify_out_is_existing_file(capsys, tmp_path):
+    taken = tmp_path / "taken.txt"
+    taken.write_text("keep\n")
+    status, out, err = run_cli(capsys, "classify", "--length", "8", "--out", str(taken))
+    assert status == 2 and out == "" and err.startswith("error: cannot write")
 
 
 def test_classify32_refused_without_flag(capsys):
@@ -216,6 +232,13 @@ def test_dump(capsys):
 def test_dump_unknown(capsys):
     status, _, err = run_cli(capsys, "dump", "--id", "C_{16,9,9}")
     assert status == 2
+
+
+def test_dump_out_in_missing_directory(capsys, tmp_path):
+    target = tmp_path / "missing_dir" / "x.code"
+    status, out, err = run_cli(capsys, "dump", "--id", "C_{16,8,1}", "--out", str(target))
+    assert status == 2 and out == "" and err.startswith("error: cannot write")
+    assert not target.parent.exists()
 
 
 def test_derive_reproduces_committed_fixture(capsys, tmp_path):

@@ -1,14 +1,19 @@
+import dataclasses
+import hashlib
 import random
 
 import numpy as np
 import pytest
 
 from fourweight._bits import BitVector
+from fourweight.catalog import all_ids, load_code
 from fourweight.conditions import require_certificate
 from fourweight.errors import InputError
 from fourweight.reedmuller import rm1
 from fourweight.weighing import (
     QuwmParams,
+    QuwmSet,
+    QuwmVerification,
     antipodal_split,
     build_quwm_set,
     matrix_from_text,
@@ -29,6 +34,8 @@ def test_psi_constants():
 def test_psi_inverse_roundtrip():
     v = BitVector.from01("0110100")
     assert psi_inverse(psi(v)) == v
+    with pytest.raises(InputError):
+        psi_inverse(np.array([1, 0, -1]))
 
 
 def test_psi_inner_product_identity_exhaustive_n8():
@@ -144,3 +151,200 @@ def test_matrix_text_roundtrip():
     assert (matrix_from_text(matrix_to_text(w)) == w).all()
     with pytest.raises(InputError):
         matrix_from_text("1 2\n0 1")
+
+
+# sha256, over all catalog codes in all_ids() order, of the dtype, shape and
+# bytes of every matrix build_quwm_set returns: deterministic, and with
+# rng=random.Random(11) per code.  Computed with the per-vector construction
+# (psi of each antipodal_split vector, one coset at a time) that the array
+# build replaced.
+QUWM_SHA256 = "710a8bccfb1d3774b7b6e4f46bfc95c1ec3bca0da5cbcbe568bd35055b7be8df"
+QUWM_RNG11_SHA256 = "c631e88efd3d0b36106f4ac073a35f50298361ee84548146794b0f3d3b344dbf"
+
+
+def split_oracle(coset, rng=None):
+    """The per-pair loop antipodal_split used before the array split."""
+    n = coset[0].n
+    ones = (1 << n) - 1
+    picked = []
+    for v in sorted(c.bits for c in coset):
+        if rng is None:
+            if not (v >> (n - 1)) & 1:
+                picked.append(v)
+        elif v < v ^ ones:
+            picked.append(v if rng.random() < 0.5 else v ^ ones)
+    return [BitVector(n, v) for v in sorted(picked)]
+
+
+def hadamard_oracle(w_matrix, weight):
+    """verify_weighing as it was before the batched checks: int64 throughout."""
+    w = np.asarray(w_matrix, dtype=np.int64)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        return False
+    if not np.isin(w, (-1, 0, 1)).all():
+        return False
+    nz = w != 0
+    if not (nz.sum(axis=1) == weight).all() or not (nz.sum(axis=0) == weight).all():
+        return False
+    n = w.shape[0]
+    return bool((w @ w.T == weight * np.eye(n, dtype=np.int64)).all())
+
+
+def _quasi_unbiased_report(w1, w2, params):
+    """One pair in int64, as QuwmSet.verify checked it before the batched products."""
+    a1 = np.asarray(w1, dtype=np.int64)
+    a2 = np.asarray(w2, dtype=np.int64)
+    n = params.n
+    if a1.shape != (n, n) or a2.shape != (n, n):
+        raise InputError(f"matrices must both have order {n}")
+    prod = a1 @ a2.T
+    sq = prod * prod
+    bad = np.argwhere((sq != 0) & (sq != params.a))
+    if bad.size:
+        i, j = map(int, bad[0])
+        return {"ok": False, "bad_entry": (i, j, int(prod[i, j])), "zero_counts": None}
+    nz = prod != 0
+    counts_ok = (nz.sum(axis=1) == params.l).all() and (nz.sum(axis=0) == params.l).all()
+    gram_ok = (prod @ prod.T == params.a * params.l * np.eye(n, dtype=np.int64)).all()
+    zero_counts = sorted(set(int(c) for c in (~nz).sum(axis=1)))
+    return {
+        "ok": bool(counts_ok and gram_ok),
+        "bad_entry": None,
+        "zero_counts": zero_counts,
+    }
+
+
+def verify_oracle(qs):
+    """QuwmSet.verify as it was: one Hadamard check per matrix, one report per pair."""
+    hadamard_ok = tuple(hadamard_oracle(h, qs.params.n) for h in qs.matrices)
+    failed = []
+    zero_counts = set()
+    for i in range(len(qs.matrices)):
+        for j in range(i + 1, len(qs.matrices)):
+            rep = _quasi_unbiased_report(qs.matrices[i], qs.matrices[j], qs.params)
+            if not rep["ok"]:
+                failed.append((i, j))
+            else:
+                zero_counts.update(rep["zero_counts"])
+    return QuwmVerification(
+        all_pass=all(hadamard_ok) and not failed,
+        hadamard_ok=hadamard_ok,
+        failed_pairs=tuple(failed),
+        zero_counts_per_row=tuple(sorted(zero_counts)),
+    )
+
+
+@pytest.fixture(scope="module")
+def catalog_sets():
+    return {cid: build_quwm_set(load_code(cid)) for cid in all_ids()}
+
+
+def _matrices_digest(sets):
+    digest = hashlib.sha256()
+    for qs in sets:
+        for h in qs.matrices:
+            digest.update(f"{h.dtype.str}{h.shape}".encode() + h.tobytes())
+    return digest.hexdigest()
+
+
+def test_build_quwm_set_catalog_digest(catalog_sets):
+    assert len(catalog_sets) == 205
+    assert _matrices_digest(catalog_sets.values()) == QUWM_SHA256
+    rng_sets = (build_quwm_set(load_code(cid), rng=random.Random(11)) for cid in all_ids())
+    assert _matrices_digest(rng_sets) == QUWM_RNG11_SHA256
+
+
+def test_antipodal_split_matches_loop_oracle(rng):
+    for n in (4, 8, 16, 32):
+        ones = (1 << n) - 1
+        for _ in range(20):
+            low = rng.sample(range(1 << (n - 1)), min(6, 1 << (n - 2)))
+            coset = [BitVector(n, v) for v in low] + [BitVector(n, v ^ ones) for v in low]
+            rng.shuffle(coset)
+            seed = rng.getrandbits(32)
+            assert antipodal_split(coset) == split_oracle(coset)
+            assert antipodal_split(coset, random.Random(seed)) == split_oracle(coset, random.Random(seed))
+
+
+def test_verify_matches_oracle_on_catalog(catalog_sets):
+    for cid, qs in catalog_sets.items():
+        ver = qs.verify()
+        assert ver == verify_oracle(qs), cid
+        assert ver.all_pass, cid
+
+
+def _mutants(qs, rng):
+    """(name, matrix index, mutated set) for one random position per kind."""
+    s, n = len(qs), qs.params.n
+    i, r, c = rng.randrange(s), rng.randrange(n), rng.randrange(n)
+    out = []
+    for name, value in (("flip", None), ("zero", 0), ("two", 2)):
+        mats = [h.copy() for h in qs.matrices]
+        mats[i][r, c] = -mats[i][r, c] if value is None else value
+        out.append((name, i, dataclasses.replace(qs, matrices=tuple(mats))))
+    out.append(("duplicate", i, dataclasses.replace(qs, matrices=qs.matrices + (qs.matrices[i].copy(),))))
+    negated = list(qs.matrices)
+    negated[i] = -negated[i]
+    out.append(("negate", i, dataclasses.replace(qs, matrices=tuple(negated))))
+    return out
+
+
+def test_verify_matches_oracle_on_mutated_sets(catalog_sets, rng):
+    ids = ["C_{8,5}", "C_{16,6,1}", "C_{16,7,1}", "C_{16,8,1}", "C_{32,9,1}", "C_{32,10,102}", "C_{32,11,2}"]
+    for cid in ids:
+        for _ in range(3):
+            for name, i, qs in _mutants(catalog_sets[cid], rng):
+                ver = qs.verify()
+                assert ver == verify_oracle(qs), (cid, name, i)
+                if name == "negate":
+                    assert ver.all_pass
+                elif name == "duplicate":
+                    assert ver.hadamard_ok[-1] and (i, len(qs) - 1) in ver.failed_pairs
+                else:
+                    assert not ver.all_pass and not ver.hadamard_ok[i]
+
+
+def test_verify_empty_and_single_sets(n16_codes):
+    params = QuwmParams(16, 16, 4, 64)
+    assert QuwmSet(params, ()).verify() == QuwmVerification(True, (), (), ())
+    h = build_quwm_set(n16_codes["C_{16,8,1}"]).matrices[3]
+    assert QuwmSet(params, (h,)).verify() == QuwmVerification(True, (True,), (), ())
+    bad = h.copy()
+    bad[0, 0] = 0
+    assert QuwmSet(params, (bad,)).verify() == QuwmVerification(False, (False,), (), ())
+    with pytest.raises(InputError):
+        QuwmSet(params, (h, h[:8, :8])).verify()
+    with pytest.raises(InputError):
+        verify_quasi_unbiased(h, h[:8], params)
+
+
+def test_verify_exactness_bound():
+    # n^3 M^4 must stay below 2^53: at n = 16 that allows M = 1000
+    # (2^51.9) and refuses M = 2000 (2^55.9)
+    params = QuwmParams(16, 16, 4, 64)
+    h = np.ones((16, 16), dtype=np.int64)
+    for big, raises in ((1000, False), (2000, True), (-2000, True)):
+        w = h.copy()
+        w[3, 5] = big
+        if raises:
+            with pytest.raises(InputError, match="inexact"):
+                QuwmSet(params, (h, w)).verify()
+            with pytest.raises(InputError, match="inexact"):
+                verify_quasi_unbiased(w, h, params)
+        else:
+            assert QuwmSet(params, (h, w)).verify() == verify_oracle(QuwmSet(params, (h, w)))
+        # a one-matrix set has no pair products and fails on its entries alone
+        assert QuwmSet(params, (w,)).verify() == QuwmVerification(False, (False,), (), ())
+
+
+def test_quasi_unbiased_needs_the_entry_check():
+    # P = W1 W2^T = [[6, 8], [-8, 6]] has l = 2 nonzeros in every row and
+    # column and P P^T = 100 I = a l I, but its squared entries 36 and 64
+    # are not a = 50; the counts follow from the entries and the Gram
+    # identity, the entries do not
+    w1, w2 = np.array([[6, 8], [-8, 6]]), np.eye(2, dtype=np.int64)
+    params = QuwmParams(2, 10, 2, 50)
+    assert not verify_quasi_unbiased(w1, w2, params)
+    qs = QuwmSet(params, (w1, w2))
+    assert qs.verify() == verify_oracle(qs)
+    assert qs.verify().failed_pairs == ((0, 1),)
