@@ -12,10 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from fourweight.errors import InputError
+import numpy as np
 
-#: Enumerating a span materializes 2^k words; anything larger must go
-#: through the chunked kernels in :mod:`fourweight.backend`.
+from fourweight.errors import CapacityError, InputError
+
+#: Enumerating a span materializes 2^k words; larger spans are walked as
+#: cosets of a smaller one (see ``LinearCode.weight_distribution``).
 SPAN_GUARD = 24
 
 
@@ -137,12 +139,24 @@ def rref_masks(rows: Iterable[int], n: int) -> tuple[int, ...]:
     return tuple(basis)
 
 
-def reduce_mask(x: int, basis: Sequence[int]) -> int:
-    """Residual of x after elimination against an RREF basis (0 iff in span)."""
+def reduce_mask(x, basis: Sequence[int]):
+    """Residual of x after elimination against an RREF basis (0 iff in span).
+
+    x is an int or a uint64 array, reduced elementwise; the input is not
+    modified.
+    """
     for b in basis:
-        if x & (1 << (b.bit_length() - 1)):
-            x ^= b
+        x = x ^ ((x >> (b.bit_length() - 1)) & 1) * b
     return x
+
+
+def complement_basis(rows: Iterable[int], sub: Sequence[int], n: int) -> tuple[int, ...]:
+    """RREF basis of a complement of span(sub) in span(sub + rows); sub is in RREF.
+
+    Its words are zero on every pivot of sub, so its span meets span(sub)
+    only in 0 and holds exactly one representative per coset.
+    """
+    return rref_masks((reduce_mask(row, sub) for row in rows), n)
 
 
 def rref(rows: Sequence[BitVector]) -> tuple[list[BitVector], int]:
@@ -157,16 +171,18 @@ def rref(rows: Sequence[BitVector]) -> tuple[list[BitVector], int]:
     return [BitVector(n, b) for b in basis], len(basis)
 
 
-def span_masks(basis: Sequence[int], guard: int = SPAN_GUARD):
+def span_masks(basis: Sequence[int]) -> np.ndarray:
     """All 2^k words of the span as a uint64 numpy array (doubling order)."""
-    import numpy as np
-
-    from fourweight.errors import CapacityError
-
     k = len(basis)
-    if k > guard:
-        raise CapacityError(f"span enumeration of 2^{k} words exceeds guard 2^{guard}")
+    if k > SPAN_GUARD:
+        raise CapacityError(f"span enumeration of 2^{k} words exceeds guard 2^{SPAN_GUARD}")
     words = np.zeros(1, dtype=np.uint64)
     for b in basis:
         words = np.concatenate([words, words ^ np.uint64(b)])
     return words
+
+
+def unpack_bits(words, n: int) -> np.ndarray:
+    """0/1 coordinates of n-bit words as uint8 on a new last axis, coordinate 1 first."""
+    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
+    return ((np.asarray(words, dtype=np.uint64)[..., None] >> shifts) & np.uint64(1)).astype(np.uint8)

@@ -20,6 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from fourweight._bits import unpack_bits
 from fourweight.errors import CapacityError, InputError
 from fourweight.linear import LinearCode
 
@@ -117,11 +118,10 @@ class _Search:
     def __init__(self, code: LinearCode):
         n = code.n
         words = code.words()
-        shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
         self.n = n
-        self.bits = ((words[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
+        self.bits = unpack_bits(words, n)
         self.weights = np.bitwise_count(words).astype(np.int64)
-        self.pow2 = np.uint64(1) << shifts
+        self.pow2 = np.uint64(1) << np.arange(n - 1, -1, -1, dtype=np.uint64)
         # Refinement scans only the lightest weight classes (enough columns
         # to discriminate); the leaf key still covers every codeword.
         classes = sorted(set(self.weights[self.weights > 0].tolist()))

@@ -27,7 +27,8 @@ from fourweight.classify import _layer
 from fourweight.conditions import check_conditions, reference_rm, require_certificate
 from fourweight.cover import is_maximal, leader_profile, valid_extension_vectors
 from fourweight.errors import InputError, IntegrityError
-from fourweight.linear import LinearCode, even_weight_code
+from fourweight.linear import LinearCode, even_weight_code, full_space
+from fourweight.reedmuller import rm1
 from fourweight.weighing import build_quwm_set
 
 TABLES_SHA256 = "5dbe08961960ff95dd33b8fc33878d3969b905bd03fdc811ef506af17b5d117b"
@@ -79,15 +80,18 @@ def parse_id(code_id: str) -> tuple[int, int, int | None]:
     return n, k, idx
 
 
+def _add_generator(code: LinearCode, mask: int, label: str) -> LinearCode:
+    bigger = code.extend(mask)
+    if bigger.k != code.k + 1:
+        raise IntegrityError(f"generator {label} does not add a dimension")
+    return bigger
+
+
 def _chain_code(n: int, generator_ids: list[str]) -> LinearCode:
     """Span of the fixed RM(1,m) plus listed generators; each must add a dimension."""
-    rm = reference_rm(n.bit_length() - 1)
-    code = rm
+    code = reference_rm(n.bit_length() - 1)
     for vid in generator_ids:
-        bigger = code.extend(_vector_mask(n, vid))
-        if bigger.k != code.k + 1:
-            raise IntegrityError(f"generator {vid} does not add a dimension")
-        code = bigger
+        code = _add_generator(code, _vector_mask(n, vid), vid)
     return code
 
 
@@ -118,18 +122,12 @@ def load_code(code_id: str) -> LinearCode:
         if family is None or canonical_id not in family:
             raise InputError(f"unknown code id: {code_id!r}")
         entry = family[canonical_id]
-        gens = list(entry["generators"])
+        code = _chain_code(n, entry["generators"])
         if n == 32 and k == 10:
             tenth = _derived()["tenth_generator"].get(canonical_id)
             if tenth is None:
                 raise IntegrityError(f"derived tenth generator missing for {canonical_id}")
-            code = _chain_code(n, gens)
-            bigger = code.extend(support_to_mask(n, tenth))
-            if bigger.k != code.k + 1:
-                raise IntegrityError(f"derived generator of {canonical_id} adds no dimension")
-            code = bigger
-        else:
-            code = _chain_code(n, gens)
+            code = _add_generator(code, support_to_mask(n, tenth), f"derived for {canonical_id}")
     if code.k != k:
         raise IntegrityError(f"{canonical_id}: reconstructed dimension {code.k} != {k}")
     d = code.min_weight()
@@ -138,18 +136,24 @@ def load_code(code_id: str) -> LinearCode:
     return code
 
 
+def _scopes(scope: int | str) -> tuple[int, ...]:
+    """The lengths a scope covers: 8, 16 or 32 (an int or its string), or 'all'."""
+    if scope == "all":
+        return (8, 16, 32)
+    if str(scope) in ("8", "16", "32"):
+        return (int(scope),)
+    raise InputError(f"unknown scope {scope!r} (use 8, 16, 32 or 'all')")
+
+
+_FAMILIES = {8: ("8",), 16: ("16",), 32: ("32,9", "32,10", "32,11")}
+
+
 def all_ids(scope: int | str = "all") -> list[str]:
     tables = _tables()
     ids: list[str] = []
-    if scope in (8, "8", "all"):
-        ids += sorted(tables["codes"]["8"], key=lambda s: parse_id(s))
-    if scope in (16, "16", "all"):
-        ids += sorted(tables["codes"]["16"], key=lambda s: parse_id(s))
-    if scope in (32, "32", "all"):
-        for fam in ("32,9", "32,10", "32,11"):
+    for length in _scopes(scope):
+        for fam in _FAMILIES[length]:
             ids += sorted(tables["codes"][fam], key=lambda s: parse_id(s))
-    if not ids:
-        raise InputError(f"unknown scope {scope!r} (use 8, 16, 32 or 'all')")
     return ids
 
 
@@ -304,12 +308,8 @@ def _radii(ids: list[str], threads: int) -> dict[str, int]:
     def one(cid: str) -> tuple[str, int]:
         return cid, leader_profile(load_code(cid)).radius
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pairs = list(pool.map(one, ids))
-    else:
-        pairs = [one(cid) for cid in ids]
-    return dict(pairs)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return dict(pool.map(one, ids))
 
 
 def _verify_reconstruction(report: VerificationReport, ids: list[str]) -> dict[str, LinearCode]:
@@ -358,9 +358,6 @@ def _verify_quwm(report: VerificationReport, cid: str, code: LinearCode) -> None
 def _verify_scope_8(report: VerificationReport, threads: int) -> None:
     ids = all_ids(8)
     codes = _verify_reconstruction(report, ids)
-    from fourweight.linear import full_space
-    from fourweight.reedmuller import rm1
-
     rm = rm1(3)
     t_rm = full_space(8).coset_table(rm)
     report.add(
@@ -470,17 +467,11 @@ def _verify_scope_32(report: VerificationReport, threads: int) -> None:
 
 def verify_claims(scope: int | str = "all", threads: int = 1) -> VerificationReport:
     """Check every reconstructable claim in the given scope (8, 16, 32 or 'all')."""
+    lengths = _scopes(scope)
+    if threads < 1:
+        raise InputError(f"threads must be at least 1, not {threads}")
     report = VerificationReport(scope=str(scope))
-    ran = False
-    if scope in (8, "8", "all"):
-        _verify_scope_8(report, threads)
-        ran = True
-    if scope in (16, "16", "all"):
-        _verify_scope_16(report, threads)
-        ran = True
-    if scope in (32, "32", "all"):
-        _verify_scope_32(report, threads)
-        ran = True
-    if not ran:
-        raise InputError(f"unknown scope {scope!r} (use 8, 16, 32 or 'all')")
+    verifiers = {8: _verify_scope_8, 16: _verify_scope_16, 32: _verify_scope_32}
+    for length in lengths:
+        verifiers[length](report, threads)
     return report

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fourweight._bits import mask_to_support
+from fourweight._bits import mask_to_support, reduce_mask
 from fourweight.canonical import automorphism_generators, canonical_form
 from fourweight.conditions import admissible_offsets, check_conditions, reference_rm
 from fourweight.cover import leader_profile, valid_extension_vectors
@@ -74,16 +74,6 @@ def _apply_perm_masks(xs: np.ndarray, sigma, n: int) -> np.ndarray:
     return out
 
 
-def _reduce_mod_masks(xs: np.ndarray, rows) -> np.ndarray:
-    out = xs.copy()
-    one = np.uint64(1)
-    for row in rows:
-        pivot = np.uint64(row.bit_length() - 1)
-        hit = (out >> pivot) & one
-        out ^= hit * np.uint64(row)
-    return out
-
-
 def _orbit_reduce(parent: LinearCode, xs: list[int]) -> list[int]:
     """Keep one coset rep per orbit under the parent's discovered automorphisms.
 
@@ -96,7 +86,7 @@ def _orbit_reduce(parent: LinearCode, xs: list[int]) -> list[int]:
     arr = np.array(xs, dtype=np.uint64)
     maps = []
     for g in gens:
-        y = _reduce_mod_masks(_apply_perm_masks(arr, g, parent.n), parent.row_masks)
+        y = reduce_mask(_apply_perm_masks(arr, g, parent.n), parent.row_masks)
         idx = np.searchsorted(arr, y)
         if (idx >= arr.size).any() or not np.array_equal(arr[np.minimum(idx, arr.size - 1)], y):
             raise AssertionError("automorphism left the valid-coset set")

@@ -267,11 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify-paper" and args.scope not in ("all",):
-        try:
-            args.scope = int(args.scope)
-        except ValueError:
-            pass
     try:
         return args.func(args)
     except InputError as exc:

@@ -8,10 +8,9 @@ from typing import Iterable
 
 import numpy as np
 
-from fourweight import backend
 from fourweight._bits import (
-    SPAN_GUARD,
     BitVector,
+    complement_basis,
     mask_to_01,
     reduce_mask,
     rref_masks,
@@ -160,7 +159,7 @@ class LinearCode:
 
     @cached_property
     def _words(self) -> np.ndarray:
-        return span_masks(self._rows, guard=SPAN_GUARD)
+        return span_masks(self._rows)
 
     def words(self) -> np.ndarray:
         """All 2^k codewords as uint64 bitmasks (doubling order)."""
@@ -172,8 +171,12 @@ class LinearCode:
             raise CapacityError(
                 f"weight enumeration of 2^{self.k} codewords exceeds guard 2^{ENUM_GUARD}"
             )
-        basis = np.array(self._rows, dtype=np.uint64)
-        counts = backend.weight_counts(basis, self.n)
+        # walk the span as cosets of its low-20-row subspace, one offset per
+        # combination of the high rows, so at most 2^20 words are held at once
+        words = span_masks(self._rows[:20])
+        counts = np.zeros(self.n + 1, dtype=np.int64)
+        for offset in span_masks(self._rows[20:]):
+            counts += np.bincount(np.bitwise_count(words ^ offset), minlength=self.n + 1)
         dist = WeightDistribution(tuple(int(c) for c in counts))
         assert dist.total() == 1 << self.k
         return dist
@@ -232,12 +235,10 @@ class LinearCode:
             raise InputError(f"length mismatch: {sub.n} vs {self.n}")
         if not self.contains(sub):
             raise InputError("not a subcode of the ambient code")
-        transversal = rref_masks(
-            (reduce_mask(row, sub._rows) for row in self._rows), self.n
-        )
+        transversal = complement_basis(self._rows, sub._rows, self.n)
         sub_words = sub.words()
         reps = []
-        for u in span_masks(transversal, guard=SPAN_GUARD):
+        for u in span_masks(transversal):
             coset = sub_words ^ u
             weights = np.bitwise_count(coset)
             wmin = int(weights.min())

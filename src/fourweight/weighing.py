@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from fourweight._bits import BitVector
+from fourweight._bits import BitVector, unpack_bits
 from fourweight.conditions import FourWeightCertificate, reference_rm, require_certificate
 from fourweight.errors import InputError
 from fourweight.linear import LinearCode
@@ -28,8 +28,7 @@ from fourweight.linear import LinearCode
 
 def _signs(words, n: int) -> np.ndarray:
     """psi of every n-bit word in an array: int8 signs on a new last axis, coordinate 1 first."""
-    bits = np.asarray(words, dtype=np.uint64)[..., None] >> np.arange(n - 1, -1, -1, dtype=np.uint64)
-    return 1 - 2 * (bits & np.uint64(1)).astype(np.int8)
+    return 1 - 2 * unpack_bits(words, n).view(np.int8)
 
 
 def psi(v: BitVector) -> np.ndarray:

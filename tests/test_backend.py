@@ -7,10 +7,17 @@ import sys
 import numpy as np
 import pytest
 
-from fourweight import backend
+import fourweight
 from fourweight.catalog import all_ids, load_code
 from fourweight.classify import classify_step
-from fourweight.cover import _column_syndromes, _extension_candidates
+from fourweight.cover import (
+    ENUM_CAP,
+    SYNDROME_GUARD,
+    _column_syndromes,
+    _extension_candidates,
+    coset_filter,
+    leader_weights,
+)
 from fourweight.errors import CapacityError
 from fourweight.linear import LinearCode
 from fourweight.reedmuller import rm1, rm1_fixed
@@ -79,13 +86,13 @@ def _mask(weights):
 def test_leader_weights_small_case():
     # parity-check of the [3,1] repetition code: columns 11, 10, 01
     cols = np.array([0b11, 0b10, 0b01], dtype=np.uint64)
-    table = backend.leader_weights(cols, 2)
+    table = leader_weights(cols, 2)
     assert table.tolist() == [0, 1, 1, 1]
 
 
 def test_leader_weights_rejects_missing_unit_syndrome():
     with pytest.raises(ValueError):
-        backend.leader_weights(np.array([0b11, 0b10], dtype=np.uint64), 2)
+        leader_weights(np.array([0b11, 0b10], dtype=np.uint64), 2)
 
 
 def test_coset_filter_matches_chunked_oracle():
@@ -103,7 +110,7 @@ def test_coset_filter_matches_chunked_oracle():
             int(rng.integers(0, 1 << 62)),
         ):
             expect = chunked_filter_oracle(words, reps, allowed)
-            got = backend.coset_filter(words, reps, allowed)
+            got = coset_filter(words, reps, allowed)
             assert got.dtype == bool and np.array_equal(got, expect)
 
 
@@ -114,11 +121,11 @@ def test_coset_filter_matches_oracle_on_extension_cosets():
         allowed = _mask((code.n // 2 - a, code.n // 2, code.n // 2 + a))
         expect = chunked_filter_oracle(code.words(), reps, allowed)
         assert expect.any() and not expect.all()
-        assert np.array_equal(backend.coset_filter(code.words(), reps, allowed), expect)
+        assert np.array_equal(coset_filter(code.words(), reps, allowed), expect)
     reps = _extension_candidates(rm1(5), 8)
     allowed = _mask((8, 16, 24))
     expect = chunked_filter_oracle(rm1(5).words(), reps, allowed)
-    assert np.array_equal(backend.coset_filter(rm1(5).words(), reps, allowed), expect)
+    assert np.array_equal(coset_filter(rm1(5).words(), reps, allowed), expect)
 
 
 def test_leader_weights_match_relaxation_on_random_codes():
@@ -127,18 +134,18 @@ def test_leader_weights_match_relaxation_on_random_codes():
         for k in (0, 1, n // 2, n - 1, n):
             code = LinearCode(n, [rng.getrandbits(n) for _ in range(k)])
             cols, r = _column_syndromes(code)
-            assert np.array_equal(backend.leader_weights(cols, r), relaxation_oracle(cols, r))
+            assert np.array_equal(leader_weights(cols, r), relaxation_oracle(cols, r))
 
 
 def _assert_matches_popcount_relaxation(cols, r):
-    got = backend.leader_weights(cols, r)
+    got = leader_weights(cols, r)
     assert got.dtype == np.uint8 and got.size == 1 << r
     assert got.tobytes() == popcount_relaxation_oracle(cols, r).tobytes()
 
 
 def test_leader_weights_match_popcount_relaxation_on_random_codes():
     rng = random.Random(11)
-    cap = backend.ENUM_CAP
+    cap = ENUM_CAP
     regimes = {"r = 0": 0, "e = r < k": 0, "k > cap, r > cap": 0, "e = k < r": 0}
     for n, k in ((5, 5), (9, 9), (12, 10), (18, 14), (20, 16), (30, 14), (29, 13), (16, 5), (24, 8)):
         for _ in range(3):
@@ -157,7 +164,7 @@ def test_leader_weights_match_popcount_relaxation_with_dependent_columns():
     # several subsets share one row of the table with different low parts
     rng = random.Random(12)
     for r, k in ((10, 4), (14, 5), (16, 12)):
-        e = min(k + 1, r, backend.ENUM_CAP)
+        e = min(k + 1, r, ENUM_CAP)
         tops = [rng.getrandbits(e) << (r - e) for _ in range(2)]
         rest = [rng.choice([0, tops[0], tops[1], tops[0] ^ tops[1]]) | rng.getrandbits(r - e) for _ in range(k)]
         rest += [rest[0], 0]  # a repeated column and a zero column
@@ -185,7 +192,7 @@ def test_leader_tables_catalog_digest():
     digest = hashlib.sha256()
     for cid in all_ids():
         cols, r = _column_syndromes(load_code(cid))
-        digest.update(backend.leader_weights(cols, r).tobytes())
+        digest.update(leader_weights(cols, r).tobytes())
     assert digest.hexdigest() == CATALOG_LEADER_SHA256
 
 
@@ -203,18 +210,18 @@ def _catalog_ids_for_leader_check():
 def test_leader_tables_match_relaxation_on_catalog():
     for cid in _catalog_ids_for_leader_check():
         cols, r = _column_syndromes(load_code(cid))
-        got = backend.leader_weights(cols, r)
+        got = leader_weights(cols, r)
         assert got.tobytes() == relaxation_oracle(cols, r).tobytes(), cid
 
 
 def test_weight_counts_empty_basis():
-    counts = backend.weight_counts(np.zeros(0, dtype=np.uint64), 8)
-    assert counts[0] == 1 and counts.sum() == 1
+    counts = LinearCode(8).weight_distribution().counts
+    assert counts[0] == 1 and sum(counts) == 1
 
 
 def test_syndrome_guard():
     with pytest.raises(CapacityError):
-        backend.leader_weights(np.zeros(1, dtype=np.uint64), backend.SYNDROME_GUARD + 1)
+        leader_weights(np.zeros(1, dtype=np.uint64), SYNDROME_GUARD + 1)
 
 
 def test_numpy_backend_end_to_end():
@@ -224,7 +231,7 @@ def test_numpy_backend_end_to_end():
         "from fourweight.cover import covering_radius\n"
         "print(covering_radius(load_code('C_{16,7,1}')))\n"
     )
-    src = os.path.dirname(os.path.dirname(backend.__file__))
+    src = os.path.dirname(os.path.dirname(fourweight.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True

@@ -108,6 +108,15 @@ def test_verify_claims_bad_scope():
         verify_claims(12)
 
 
+def test_scope_accepts_ints_and_their_strings():
+    assert all_ids("32") == all_ids(32)
+    assert all_ids("all") == all_ids(8) + all_ids("16") + all_ids(32)
+    assert verify_claims("16").as_dict() == verify_claims(16).as_dict()
+    for scope in (12, "12", "", None):
+        with pytest.raises(InputError):
+            all_ids(scope)
+
+
 def test_rederivation_matches_fixture():
     # full dual search + matching, ~10 s warm; guards the committed fixture
     derived = json.loads(_read_data("derived.json"))["tenth_generator"]

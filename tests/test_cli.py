@@ -223,6 +223,19 @@ def test_verify_paper_scope8(capsys):
     assert payload["all_pass"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--threads", "0", "verify-paper", "--scope", "16"),
+        ("--threads", "-3", "verify-paper", "--scope", "8"),
+        ("verify-paper", "--scope", "12"),
+    ],
+)
+def test_verify_paper_bad_input_exits_2(capsys, argv):
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2 and out == "" and err.startswith("error:")
+
+
 def test_dump(capsys):
     status, out, _ = run_cli(capsys, "dump", "--id", "C_{16,6,1}")
     assert status == 0
