@@ -135,11 +135,13 @@ class _Search:
         self.rweights = self.weights[take].astype(np.uint64)
         # Column co-occurrence within the two lightest nonzero weight
         # classes; pair counts crack the near-uniform incidence that
-        # weight classes alone leave unrefined.
+        # weight classes alone leave unrefined.  The product runs in float64
+        # (BLAS; numpy has no BLAS path for int64) and is exact: each entry
+        # counts words of one weight class, at most 2^k <= 2^DIM_GUARD < 2^53.
         self.pair: list[np.ndarray] = []
         for w in classes[:2]:
-            block = self.bits[self.weights == w].astype(np.int64)
-            self.pair.append(block.T @ block)
+            block = self.bits[self.weights == w].astype(np.float64)
+            self.pair.append((block.T @ block).astype(np.int64))
         self.best_key: np.ndarray | None = None
         self.best_trace: list[tuple] = []
         self.best_perm: np.ndarray | None = None
@@ -360,6 +362,8 @@ def are_equivalent(c1: LinearCode, c2: LinearCode) -> bool:
     """True iff the codes differ by a coordinate permutation."""
     if c1.n != c2.n or c1.k != c2.k:
         return False
+    if c1.k == 0:
+        return True  # both are the zero code, which has no canonical form
     if c1.weight_distribution() != c2.weight_distribution():
         return False
     return canonical_form(c1).key == canonical_form(c2).key
@@ -369,6 +373,8 @@ def equivalence_witness(c1: LinearCode, c2: LinearCode):
     """A permutation sigma with sigma(c1) == c2, or None."""
     if not are_equivalent(c1, c2):
         return None
+    if c1.k == 0:
+        return tuple(range(c1.n))
     w1 = canonical_form(c1).witness
     w2 = canonical_form(c2).witness
     sigma = [0] * c1.n

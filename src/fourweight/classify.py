@@ -17,7 +17,7 @@ import numpy as np
 
 from fourweight._bits import mask_to_support, reduce_mask
 from fourweight.canonical import automorphism_generators, canonical_form
-from fourweight.conditions import admissible_offsets, check_conditions, reference_rm
+from fourweight.conditions import _log2_exact, admissible_offsets, check_conditions, reference_rm
 from fourweight.cover import leader_profile, valid_extension_vectors
 from fourweight.errors import CapacityError, InputError
 from fourweight.linear import LinearCode
@@ -142,17 +142,33 @@ def _layer(parents: list[tuple[LinearCode, tuple]], a: int) -> tuple[list[ClassR
 
 
 def classify_step(seeds: list[LinearCode], a: int | None = None) -> ClassificationReport:
-    """One extension layer: all classes one dimension above the seeds."""
+    """One extension layer: all classes one dimension above the seeds.
+
+    The seeds must share length and dimension, and each must qualify with
+    offset a (taken from the first seed when not given).  The reference
+    RM(1,m) itself, the root of every branch, is also a valid seed for any
+    admissible a.
+    """
     if not seeds:
         raise InputError("no seed codes")
-    n = seeds[0].n
-    if a is None:
-        first = check_conditions(seeds[0])
-        if not first.ok:
-            raise InputError("seed does not qualify; pass the target offset a")
-        a = first.certificate.a
+    n, k = seeds[0].n, seeds[0].k
+    root = reference_rm(_log2_exact(n))
+    for seed in seeds:
+        if (seed.n, seed.k) != (n, k):
+            raise InputError(f"seeds differ in length or dimension: [{seed.n},{seed.k}], [{n},{k}]")
+        if seed == root:
+            if a not in admissible_offsets(n):
+                raise InputError(f"the reference RM seed needs an admissible offset a, not {a}")
+            continue
+        check = check_conditions(seed)
+        if not check.ok:
+            raise InputError("seed does not qualify: " + "; ".join(check.violations))
+        if a is None:
+            a = check.certificate.a
+        if check.certificate.a != a:
+            raise InputError(f"seed qualifies with a={check.certificate.a}, not a={a}")
     records, _ = _layer([(s, ()) for s in seeds], a)
-    return ClassificationReport(n=n, k=seeds[0].k + 1, classes=records)
+    return ClassificationReport(n=n, k=k + 1, classes=records)
 
 
 def classify_all(n: int, allow_long: bool = False) -> list[ClassificationReport]:
@@ -167,7 +183,7 @@ def classify_all(n: int, allow_long: bool = False) -> list[ClassificationReport]
     if n == 32 and not allow_long:
         raise CapacityError(
             "length-32 classification scans ~10^6 extension cosets per branch and "
-            "takes about 25 s on 2 CPUs; rerun with allow_long=True (--allow-long)"
+            "takes about 24 s on 2 CPUs; rerun with allow_long=True (--allow-long)"
         )
     m = n.bit_length() - 1
     seed = reference_rm(m)

@@ -32,6 +32,10 @@ SYNDROME_GUARD = 26
 #: The leader sweep enumerates at most 2^12 subsets of non-pivot columns.
 ENUM_CAP = 12
 
+#: The coset filter checks at most 2^14 (rep, word) pairs per step, or one
+#: word against every live rep when more reps than that are live.
+SIEVE_BLOCK = 1 << 14
+
 
 def _column_syndromes(code: LinearCode) -> tuple[np.ndarray, int]:
     """Syndrome of each unit vector, as ints over the dual-basis parity rows."""
@@ -120,18 +124,23 @@ def leader_weights(cols: np.ndarray, r: int) -> np.ndarray:
 def coset_filter(words: np.ndarray, reps: np.ndarray, allowed: int) -> np.ndarray:
     """Boolean mask: coset rep r survives iff every wt(w ^ r) has its bit set in allowed.
 
-    A shrinking sieve: the surviving reps meet one codeword at a time, so
-    most reps are dropped after the first few words.
+    A shrinking sieve: at each step the surviving reps meet the next block
+    of max(1, SIEVE_BLOCK // live reps) codewords, so most reps are dropped
+    after the first few words, and a step's temporaries stay cache-sized:
+    at most max(live reps, SIEVE_BLOCK) entries.
     """
     ok_weight = np.array([(allowed >> w) & 1 for w in range(65)], dtype=bool)
     idx = np.arange(reps.size)
     live = reps
-    for w in words:
-        if not idx.size:
-            break
-        keep = ok_weight[np.bitwise_count(live ^ w)]
+    lo = 0
+    while idx.size and lo < words.size:
+        block = words[lo : lo + max(1, SIEVE_BLOCK // live.size)]
+        # words on the first axis: all() then ANDs whole rows, which is
+        # about twice as fast as reducing short rows along the last axis
+        keep = ok_weight[np.bitwise_count(block[:, None] ^ live[None, :])].all(axis=0)
         live = live[keep]
         idx = idx[keep]
+        lo += block.size
     out = np.zeros(reps.size, dtype=bool)
     out[idx] = True
     return out

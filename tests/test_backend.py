@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from fourweight.catalog import all_ids, load_code
 from fourweight.classify import classify_step
 from fourweight.cover import (
     ENUM_CAP,
+    SIEVE_BLOCK,
     SYNDROME_GUARD,
     _column_syndromes,
     _extension_candidates,
@@ -34,6 +36,22 @@ def chunked_filter_oracle(words, reps, allowed):
     for lo in range(0, reps.size, chunk):
         block = reps[lo : lo + chunk, None] ^ words[None, :]
         out[lo : lo + chunk] = ok_weight[np.bitwise_count(block)].all(axis=1)
+    return out
+
+
+def one_word_sieve_oracle(words, reps, allowed):
+    """Reference coset filter: the shrinking sieve meeting one codeword per step."""
+    ok_weight = np.array([(allowed >> w) & 1 for w in range(65)], dtype=bool)
+    idx = np.arange(reps.size)
+    live = reps
+    for w in words:
+        if not idx.size:
+            break
+        keep = ok_weight[np.bitwise_count(live ^ w)]
+        live = live[keep]
+        idx = idx[keep]
+    out = np.zeros(reps.size, dtype=bool)
+    out[idx] = True
     return out
 
 
@@ -126,6 +144,90 @@ def test_coset_filter_matches_oracle_on_extension_cosets():
     allowed = _mask((8, 16, 24))
     expect = chunked_filter_oracle(rm1(5).words(), reps, allowed)
     assert np.array_equal(coset_filter(rm1(5).words(), reps, allowed), expect)
+
+
+def _assert_sieve_matches_one_word_oracle(words, reps, allowed):
+    expect = one_word_sieve_oracle(words, reps, allowed)
+    got = coset_filter(words, reps, allowed)
+    assert got.dtype == bool and got.shape == reps.shape
+    assert np.array_equal(got, expect)
+    return expect
+
+
+def test_coset_filter_block_regimes_match_one_word_oracle():
+    rng = np.random.default_rng(14)
+    words = rm1(5).words()
+    near_half = _mask(range(10, 23))  # about half the random reps survive
+    # more reps than SIEVE_BLOCK: the first blocks hold one word each
+    reps = rng.integers(0, 1 << 32, size=SIEVE_BLOCK + 4099, dtype=np.uint64)
+    assert SIEVE_BLOCK // reps.size == 0
+    mask = _assert_sieve_matches_one_word_oracle(words, reps, near_half)
+    assert mask.any() and not mask.all()
+    # few reps: the first block takes every word
+    few = reps[:9]
+    assert SIEVE_BLOCK // few.size >= words.size
+    assert _assert_sieve_matches_one_word_oracle(words, few, near_half).any()
+    # in between: blocks of several words, growing as reps die
+    assert 1 < SIEVE_BLOCK // 700 < words.size
+    assert _assert_sieve_matches_one_word_oracle(words, reps[:700], near_half).any()
+    # every rep rejected by the zero word (wt(r) itself is not allowed)
+    odd = reps[np.bitwise_count(reps) % 2 == 1]
+    assert not _assert_sieve_matches_one_word_oracle(words, odd, _mask(range(0, 33, 2))).any()
+    # every rep kept
+    assert _assert_sieve_matches_one_word_oracle(words, reps, _mask(range(33))).all()
+
+
+def test_coset_filter_matches_one_word_oracle_on_a4_cosets():
+    # [32,9] a = 4 codes: reps run over the dual, 2^14 - 1 of them; the
+    # table codes are maximal, the subcodes of [32,10] table codes are not
+    allowed = _mask((12, 16, 20))
+    codes = [load_code(cid) for cid in ("C_{32,9,1}", "C_{32,9,45}", "C_{32,9,90}")]
+    rng = random.Random(9)
+    for cid in ("C_{32,10,3}", "C_{32,10,77}", "C_{32,10,77}"):
+        rows = load_code(cid).row_masks
+        sub = rm1_fixed(5)
+        while sub.k != 9:
+            picks = [rng.choice(rows) ^ rng.choice(rows) ^ rng.choice(rows) for _ in range(3)]
+            sub = LinearCode(32, rm1_fixed(5).row_masks + tuple(picks))
+        codes.append(sub)
+    survivors = []
+    for code in codes:
+        reps = _extension_candidates(code, 4)
+        assert reps.size == (1 << 14) - 1
+        survivors.append(_assert_sieve_matches_one_word_oracle(code.words(), reps, allowed).sum())
+    assert survivors[:3] == [0, 0, 0] and all(survivors[3:])
+
+
+def test_coset_filter_matches_one_word_oracle_on_a8_branch():
+    allowed = _mask((8, 16, 24))
+    seeds, sizes = [rm1_fixed(5)], []
+    while seeds:
+        for code in seeds:
+            reps = _extension_candidates(code, 8)
+            sizes.append(reps.size)
+            _assert_sieve_matches_one_word_oracle(code.words(), reps, allowed)
+        seeds = [rec.code for rec in classify_step(seeds, 8).classes]
+    assert max(sizes) == (1 << 20) - 1
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_coset_filter_peak_memory_within_one_word_oracle():
+    rng = np.random.default_rng(17)
+    words = load_code("C_{32,9,1}").words()
+    reps = rng.integers(0, 1 << 32, size=1 << 17, dtype=np.uint64)
+    allowed = _mask((12, 16, 20))
+    oracle = _traced_peak(one_word_sieve_oracle, words, reps, allowed)
+    sieve = _traced_peak(coset_filter, words, reps, allowed)
+    assert sieve <= 1.1 * oracle, (sieve, oracle)
 
 
 def test_leader_weights_match_relaxation_on_random_codes():

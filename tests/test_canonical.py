@@ -105,6 +105,35 @@ def test_guards():
         permute_columns(rm1(3), [0, 1, 2, 3, 4, 5, 6, 6])
 
 
+def test_zero_dimensional_codes_are_equivalent():
+    for n in (8, 32):
+        assert are_equivalent(LinearCode(n), LinearCode(n))
+        assert equivalence_witness(LinearCode(n), LinearCode(n)) == tuple(range(n))
+    assert not are_equivalent(LinearCode(8), LinearCode(16))
+    assert not are_equivalent(LinearCode(8), rm1(3))
+    assert equivalence_witness(LinearCode(8), LinearCode(16)) is None
+
+
+def test_pair_counts_match_int64_products():
+    codes = [load_code(cid) for cid in all_ids()]
+    assert len(codes) == 205
+    rng = random.Random(34)
+    while len(codes) < 207:  # [32,20]: the largest classes DIM_GUARD allows
+        code = LinearCode(32, [rng.getrandbits(32) for _ in range(20)])
+        if code.k == 20:
+            codes.append(code)
+    for code in codes:
+        search = _Search(code)
+        classes = sorted(set(search.weights[search.weights > 0].tolist()))[:2]
+        want = []
+        for w in classes:
+            block = search.bits[search.weights == w].astype(np.int64)
+            want.append(block.T @ block)
+        assert len(search.pair) == len(want)
+        for got, exp in zip(search.pair, want):
+            assert got.dtype == np.int64 and np.array_equal(got, exp)
+
+
 def test_length32_permuted_copy(rng):
     code = load_code("C_{32,9,1}")
     key = canonical_form(code).key

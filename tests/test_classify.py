@@ -9,6 +9,7 @@ from fourweight.classify import classify_all, classify_step
 from fourweight.conditions import admissible_offsets, reference_rm, require_certificate
 from fourweight.cover import valid_extension_vectors
 from fourweight.errors import CapacityError, InputError
+from fourweight.linear import LinearCode
 from fourweight.reedmuller import rm1, rm1_fixed
 
 
@@ -99,6 +100,24 @@ def test_classify_step_rejects_bad_seed():
         classify_step([rm1(3)])
     with pytest.raises(InputError):
         classify_step([])
+
+
+def test_classify_step_validates_every_seed(n8_codes, n16_codes):
+    with pytest.raises(InputError, match="does not qualify"):
+        classify_step([LinearCode(8, [0xFF])], 2)
+    with pytest.raises(InputError, match="does not qualify"):
+        classify_step([n8_codes["C_{8,5}"], LinearCode(8, [0xFF, 0x0F, 0x33, 0x55, 0x01])], 2)
+    with pytest.raises(InputError, match="differ in length or dimension"):
+        classify_step([n8_codes["C_{8,5}"], n8_codes["C_{8,6}"]], 2)
+    with pytest.raises(InputError, match="differ in length or dimension"):
+        classify_step([n8_codes["C_{8,6}"], n16_codes["C_{16,6,1}"]])
+    with pytest.raises(InputError, match="not a=4"):
+        classify_step([n16_codes["C_{16,6,1}"]], 4)
+    with pytest.raises(InputError, match="not a=2"):
+        classify_step([n16_codes["C_{16,6,1}"], n16_codes["C_{16,6,2}"]])
+    with pytest.raises(InputError, match="admissible offset"):
+        classify_step([rm1_fixed(5)], 3)
+    assert classify_step([rm1_fixed(5)], 8).k == 7
 
 
 def test_extension_vector_counts():

@@ -120,6 +120,15 @@ def test_equiv_negative(capsys, code_file):
     assert payload == {"equivalent": False, "witness": None}
 
 
+def test_equiv_zero_dimensional_codes(capsys, code_file):
+    p1, p2 = code_file(LinearCode(16), "a.code"), code_file(LinearCode(16), "b.code")
+    status, out, _ = run_cli(capsys, "--format", "json", "equiv", p1, p2)
+    assert status == 0
+    payload = json.loads(out)
+    validate(payload, "equiv")
+    assert payload == {"equivalent": True, "witness": list(range(1, 17))}
+
+
 def test_covrad(capsys, code_file):
     path = code_file("C_{16,7,1}")
     status, out, _ = run_cli(capsys, "--format", "json", "covrad", path)
