@@ -183,6 +183,11 @@ def span_masks(basis: Sequence[int]) -> np.ndarray:
 
 
 def unpack_bits(words, n: int) -> np.ndarray:
-    """0/1 coordinates of n-bit words as uint8 on a new last axis, coordinate 1 first."""
-    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
-    return ((np.asarray(words, dtype=np.uint64)[..., None] >> shifts) & np.uint64(1)).astype(np.uint8)
+    """0/1 coordinates of n-bit words as uint8 on a new last axis, coordinate 1 first.
+
+    The words' big-endian bytes are unpacked, so no temporary is wider
+    than 64 bytes per word.
+    """
+    w = np.asarray(words, dtype=np.uint64)
+    octets = w.astype(">u8").reshape(-1).view(np.uint8).reshape(w.shape + (8,))
+    return np.ascontiguousarray(np.unpackbits(octets, axis=-1)[..., 64 - n :])

@@ -27,6 +27,9 @@ from fourweight.linear import LinearCode
 LENGTH_GUARD = 32
 DIM_GUARD = 20
 
+#: Leaf keys are packed 2^14 codewords at a time (one block for k <= 14).
+LEAF_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class CanonicalForm:
@@ -194,9 +197,12 @@ class _Search:
 
     def _leaf_key(self, colors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         perm = np.argsort(colors)
-        packed = (self.bits[:, perm].astype(np.uint64) * self.pow2[None, :]).sum(
-            axis=1, dtype=np.uint64
-        )
+        # packed in row blocks, so the uint64 temporaries hold at most
+        # LEAF_BLOCK x n entries whatever the dimension
+        packed = np.empty(len(self.bits), dtype=np.uint64)
+        for lo in range(0, packed.size, LEAF_BLOCK):
+            block = self.bits[lo : lo + LEAF_BLOCK, perm].astype(np.uint64)
+            np.sum(block * self.pow2, axis=1, dtype=np.uint64, out=packed[lo : lo + LEAF_BLOCK])
         packed.sort()
         return packed, perm
 

@@ -8,11 +8,12 @@ dist(s) = min over x of wt(x) + popcount(s ^ Hx).  Popcount is a sum
 over bits, so splitting s into its top e bits and the rest is exact: each
 subset of e coordinates fills one row of the table with its popcount
 over the low bits, and the top e unit columns are spent by one
-contiguous pass per bit (see leader_weights).  Maximality of a
-qualifying code asks whether some coset could extend it within the same
-weight set; when the weight set is doubly even any extension vector must
-lie in the dual, so the scan shrinks to the 2^(n-2k) cosets of C inside
-C-perp.
+contiguous pass per bit.  Neither step mixes low columns, so the table is
+built one L2-sized tile of low columns at a time (see leader_weights).
+Maximality of a qualifying code asks whether some coset could extend it
+within the same weight set; when the weight set is doubly even any
+extension vector must lie in the dual, so the scan shrinks to the
+2^(n-2k) cosets of C inside C-perp.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ ENUM_CAP = 12
 #: The coset filter checks at most 2^14 (rep, word) pairs per step, or one
 #: word against every live rep when more reps than that are live.
 SIEVE_BLOCK = 1 << 14
+
+#: The leader sweep fills and relaxes its table one tile of 2^20 bytes at a
+#: time, small enough to stay in a core's L2 cache.
+LEADER_TILE = 1 << 20
 
 
 def _column_syndromes(code: LinearCode) -> tuple[np.ndarray, int]:
@@ -61,13 +66,29 @@ def leader_weights(cols: np.ndarray, r: int) -> np.ndarray:
     as (row, low) = (top e bits, low R = r - e bits),
     popcount(s ^ Hx) = popcount(row ^ Hx_row) + popcount(low ^ Hx_low).
     Each of the 2^e subsets of the first e columns therefore fills the
-    row Hx_row with wt(x) + popcount(low ^ Hx_low) (a min, since
-    dependent columns can share a row), and the top e unit columns are
-    then spent by one contiguous half-block pass per bit.  Columns
-    beyond e relax the table one pass each, dist[s] = min(dist[s],
+    row Hx_row with wt(x) + popcount(low ^ Hx_low), and the top e unit
+    columns are then spent by one half-block pass per bit, which pairs
+    rows only, never low columns.
+
+    So the table is built one tile at a time: all 2^e rows times a block
+    of low columns, one contiguous buffer of LEADER_TILE bytes.  A tile
+    stays in a core's L2 cache from its fill through all e passes and is
+    then copied into the table once; a pass over the whole table would
+    stream 4-32 MiB through memory per bit instead.  The fill adds two
+    small per-syndrome popcount tables, over the high and the low half of
+    the low bits, by broadcasting; a row hit by exactly one subset gets
+    its sum as is.  Rows hit by several subsets (dependent columns) take
+    the minimum over rank layers: layer t holds the t-th subset of every
+    row hit more than t times, so its rows are distinct, and with rows in
+    order of falling multiplicity it lines up with the first rows of layer
+    0.  Equal-size layers are adjacent, and each run of them folds into
+    layer 0 with one min-reduction.  Besides the table, the sweep holds
+    the tile, half a tile of scratch for the passes and, when some row is
+    hit more than once, the 2^e candidate rows of one tile.  Columns
+    beyond e relax the whole table one pass each, dist[s] = min(dist[s],
     dist[s ^ h] + 1), through a reversed-axis view of the 2x...x2 cube;
-    that happens only for k > min(r, ENUM_CAP).  The fill value 64
-    leaves room for the + 1 in uint8.
+    that happens only for k > min(r, ENUM_CAP) and needs a second table
+    of scratch.  The fill value 64 leaves room for the + 1 in uint8.
     """
     if r > SYNDROME_GUARD:
         raise CapacityError(f"syndrome table 2^{r} exceeds guard 2^{SYNDROME_GUARD}")
@@ -79,36 +100,67 @@ def leader_weights(cols: np.ndarray, r: int) -> np.ndarray:
     rest = [h for h in rest if h]
     e = min(len(rest), r, ENUM_CAP)
     low = r - e
-    best = {0: 0}  # syndrome Hx -> least wt(x), x over subsets of the first e columns
-    for h in rest[:e]:
-        for o, w in list(best.items()):
-            if best.get(o ^ h, 64) > w + 1:
-                best[o ^ h] = w + 1
-    # popcount(low ^ c) as an outer sum over the two halves of the low bits,
-    # so no integer array of 2^(r-e) entries is built when e is small
-    half = low // 2
-    lo_a = np.arange(1 << (low - half), dtype=np.uint32)
-    lo_b = np.arange(1 << half, dtype=np.uint32)
-    scratch = np.empty(1 << max(low, r - 1), dtype=np.uint8)
-    cand = scratch[: 1 << low].reshape(lo_a.size, lo_b.size)
-    table = np.full((1 << e, lo_a.size, lo_b.size), 64, dtype=np.uint8)
-    for o, w in best.items():
-        row = table[o >> low]
-        np.add(
-            np.bitwise_count(lo_a ^ ((o >> half) & (lo_a.size - 1)))[:, None],
-            np.bitwise_count(lo_b ^ (o & (lo_b.size - 1))) + np.uint8(w),
-            out=cand,
-        )
-        np.minimum(row, cand, out=row)
+    # Hx and wt(x) for every subset x of the first e columns (bit j of the
+    # index selects column j), ordered by (rank layer, falling multiplicity, row)
+    syn = span_masks(rest[:e])
+    wt = np.bitwise_count(np.arange(syn.size, dtype=np.uint64))
+    rows = (syn >> np.uint64(low)).astype(np.intp)
+    order = np.argsort(rows, kind="stable")
+    syn, wt, rows = syn[order], wt[order], rows[order]
+    counts = np.bincount(rows)
+    rank = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    order = np.lexsort((rows, -np.repeat(counts, counts), rank))
+    syn, wt, rows = syn[order].astype(np.uint32), wt[order], rows[order]
+    sizes = np.bincount(rank)  # layer sizes, falling; equal ones are adjacent
+    ends = np.cumsum(sizes)
+    groups = [  # (offset, layers, rows) of each run of equal-size layers after layer 0
+        (int(ends[t]), int(q), int(n))
+        for n, t, q in zip(*np.unique(sizes[1:], return_index=True, return_counts=True))
+    ]
+    # a tile is (2^e rows, 2^tile_bits low columns) = (2^e, na, nb), low = (a, b)
+    tile_bits = min(low, LEADER_TILE.bit_length() - 1 - e)
+    half = min(low // 2, tile_bits)
+    na, nb = 1 << (tile_bits - half), 1 << half
+    pop_a = np.bitwise_count(
+        np.arange(1 << (low - half), dtype=np.uint32) ^ ((syn >> half) & ((1 << (low - half)) - 1))[:, None]
+    )
+    pop_b = np.bitwise_count(np.arange(nb, dtype=np.uint32) ^ (syn & (nb - 1))[:, None]) + wt[:, None]
+    table = np.empty((1 << e, 1 << low), dtype=np.uint8)
+    tile = table if tile_bits == low else np.empty((1 << e, 1 << tile_bits), dtype=np.uint8)
+    cells = tile.reshape(1 << e, na, nb)
+    scratch = np.empty(tile.size // 2, dtype=np.uint8)
+    direct = not groups  # every row hit once, in row order
+    if direct:
+        cand = cells
+    else:
+        # the syndromes' candidates, then one row of 64 for the rows none hits
+        spill = np.empty((rows.size + 1, na, nb), dtype=np.uint8)
+        spill[-1] = 64
+        cand = spill[:-1]
+        source = np.full(1 << e, rows.size)
+        source[rows[: sizes[0]]] = np.arange(sizes[0])
+    for c0 in range(0, 1 << low, tile.shape[1]):
+        a0 = c0 >> half
+        np.add(pop_a[:, a0 : a0 + na, None], pop_b[:, None, :], out=cand)
+        for off, q, n in groups:
+            fold = scratch[: n * na * nb].reshape(n, na, nb)
+            np.minimum.reduce(cand[off : off + q * n].reshape(q, n, na, nb), axis=0, out=fold)
+            np.minimum(cand[:n], fold, out=cand[:n])
+        if not direct:
+            # every index is in range; mode="raise" would buffer out
+            np.take(spill, source, axis=0, out=cells, mode="clip")
+        flat = tile.reshape(-1)
+        for i in range(e):
+            pair = flat.reshape(-1, 2, tile.shape[1] << i)
+            a, b = pair[:, 0], pair[:, 1]
+            m = scratch[: a.size].reshape(a.shape)
+            np.minimum(a, b, out=m)
+            np.add(m, 1, out=m)
+            np.minimum(a, m, out=a)
+            np.minimum(b, m, out=b)
+        if tile is not table:
+            table[:, c0 : c0 + tile.shape[1]] = tile
     dist = table.reshape(-1)
-    for i in range(low, r):
-        pair = dist.reshape(-1, 2, 1 << i)
-        a, b = pair[:, 0], pair[:, 1]
-        m = scratch[: a.size].reshape(a.shape)
-        np.minimum(a, b, out=m)
-        np.add(m, 1, out=m)
-        np.minimum(a, m, out=a)
-        np.minimum(b, m, out=b)
     if len(rest) > e:
         cube = dist.reshape((2,) * r)
         tmp = np.empty_like(cube)

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 import fourweight
+from fourweight._bits import span_masks
 from fourweight.catalog import all_ids, load_code
 from fourweight.classify import classify_step
 from fourweight.cover import (
     ENUM_CAP,
+    LEADER_TILE,
     SIEVE_BLOCK,
     SYNDROME_GUARD,
     _column_syndromes,
@@ -92,6 +94,73 @@ def popcount_relaxation_oracle(cols, r):
         np.add(view, 1, out=tmp)
         np.minimum(cube, tmp, out=cube)
     return dist
+
+
+def whole_table_oracle(cols, r):
+    """Reference leader sweep: fill the whole (2^e, 2^(r-e)) table one subset at a time, then relax it."""
+    rest = cols.tolist()
+    for i in range(r):
+        rest.remove(1 << i)
+    rest = [h for h in rest if h]
+    e = min(len(rest), r, ENUM_CAP)
+    low = r - e
+    best = {0: 0}  # syndrome Hx -> least wt(x), x over subsets of the first e columns
+    for h in rest[:e]:
+        for o, w in list(best.items()):
+            if best.get(o ^ h, 64) > w + 1:
+                best[o ^ h] = w + 1
+    half = low // 2
+    lo_a = np.arange(1 << (low - half), dtype=np.uint32)
+    lo_b = np.arange(1 << half, dtype=np.uint32)
+    scratch = np.empty(1 << max(low, r - 1), dtype=np.uint8)
+    cand = scratch[: 1 << low].reshape(lo_a.size, lo_b.size)
+    table = np.full((1 << e, lo_a.size, lo_b.size), 64, dtype=np.uint8)
+    for o, w in best.items():
+        row = table[o >> low]
+        np.add(
+            np.bitwise_count(lo_a ^ ((o >> half) & (lo_a.size - 1)))[:, None],
+            np.bitwise_count(lo_b ^ (o & (lo_b.size - 1))) + np.uint8(w),
+            out=cand,
+        )
+        np.minimum(row, cand, out=row)
+    dist = table.reshape(-1)
+    for i in range(low, r):
+        pair = dist.reshape(-1, 2, 1 << i)
+        a, b = pair[:, 0], pair[:, 1]
+        m = scratch[: a.size].reshape(a.shape)
+        np.minimum(a, b, out=m)
+        np.add(m, 1, out=m)
+        np.minimum(a, m, out=a)
+        np.minimum(b, m, out=b)
+    if len(rest) > e:
+        cube = dist.reshape((2,) * r)
+        tmp = np.empty_like(cube)
+        flip = slice(None, None, -1)
+        keep = slice(None)
+        for h in rest[e:]:
+            view = cube[tuple(flip if (h >> (r - 1 - i)) & 1 else keep for i in range(r))]
+            np.add(view, 1, out=tmp)
+            np.minimum(cube, tmp, out=cube)
+    return dist
+
+
+def _leader_regimes(cols, r):
+    """The paths of leader_weights that one input takes."""
+    rest = cols.tolist()
+    for i in range(r):
+        rest.remove(1 << i)
+    rest = [h for h in rest if h]
+    e = min(len(rest), r, ENUM_CAP)
+    hits = np.bincount((span_masks(rest[:e]) >> np.uint64(r - e)).astype(np.intp), minlength=1 << e)
+    regimes = {
+        "r = 0": r == 0,
+        "one tile": 0 < r and (1 << r) <= LEADER_TILE,
+        "several tiles": (1 << r) > LEADER_TILE,
+        "direct fill": bool((hits == 1).all()),
+        "rank layers": int(hits.max()) > 1,
+        "k > cap": len(rest) > ENUM_CAP,
+    }
+    return {name for name, taken in regimes.items() if taken}
 
 
 def _mask(weights):
@@ -230,6 +299,36 @@ def test_coset_filter_peak_memory_within_one_word_oracle():
     assert sieve <= 1.1 * oracle, (sieve, oracle)
 
 
+def test_leader_weights_match_whole_table_oracle_in_each_regime():
+    rng = random.Random(23)
+    inputs = [
+        _column_syndromes(LinearCode(n, [rng.getrandbits(n) for _ in range(k)]))
+        for n, k in ((6, 6), (12, 5), (16, 8), (20, 14), (32, 10), (36, 14))
+    ]
+    inputs += [_column_syndromes(load_code(cid)) for cid in ("C_{32,9,5}", "C_{32,10,3}", "C_{32,11,1}")]
+    seen = []
+    for cols, r in inputs:
+        seen.append(_leader_regimes(cols, r))
+        assert leader_weights(cols, r).tobytes() == whole_table_oracle(cols, r).tobytes()
+    for regime in (
+        {"r = 0"},
+        {"one tile", "direct fill"},
+        {"one tile", "rank layers"},
+        {"one tile", "k > cap"},
+        {"several tiles", "direct fill"},
+        {"several tiles", "rank layers"},
+        {"several tiles", "k > cap"},
+    ):
+        assert any(regime <= got for got in seen), regime
+
+
+def test_leader_weights_peak_memory_within_table_and_three_tiles():
+    cols, r = _column_syndromes(load_code("C_{32,9,5}"))
+    assert r == 23
+    peak = _traced_peak(leader_weights, cols, r)
+    assert peak <= (1 << r) + 3 * LEADER_TILE, peak / (1 << r)
+
+
 def test_leader_weights_match_relaxation_on_random_codes():
     rng = random.Random(5)
     for n in (1, 5, 12, 18):
@@ -265,14 +364,16 @@ def test_leader_weights_match_popcount_relaxation_with_dependent_columns():
     # the top e bits of the non-pivot columns span only 2 dimensions, so
     # several subsets share one row of the table with different low parts
     rng = random.Random(12)
-    for r, k in ((10, 4), (14, 5), (16, 12)):
+    for r, k in ((10, 4), (14, 5), (16, 12), (22, 10)):
         e = min(k + 1, r, ENUM_CAP)
         tops = [rng.getrandbits(e) << (r - e) for _ in range(2)]
         rest = [rng.choice([0, tops[0], tops[1], tops[0] ^ tops[1]]) | rng.getrandbits(r - e) for _ in range(k)]
         rest += [rest[0], 0]  # a repeated column and a zero column
         rng.shuffle(rest)
         cols = np.array([1 << i for i in range(r)] + rest, dtype=np.uint64)
+        assert "rank layers" in _leader_regimes(cols, r)
         _assert_matches_popcount_relaxation(cols, r)
+        assert leader_weights(cols, r).tobytes() == whole_table_oracle(cols, r).tobytes()
 
 
 def test_leader_weights_match_popcount_relaxation_on_a8_branch():

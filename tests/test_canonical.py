@@ -1,11 +1,13 @@
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fourweight.canonical import (
+    LEAF_BLOCK,
     _Search,
     _canonicalize,
     _find,
@@ -446,3 +448,37 @@ def test_unique_rows_matches_numpy():
         got, got_inv = _unique_rows(a)
         assert got.tobytes() == want.tobytes()
         assert np.array_equal(got_inv, want_inv.reshape(-1))
+
+
+def _one_shot_leaf_key(search, colors):
+    """Reference leaf key: every codeword packed in one (2^k x n) uint64 product."""
+    perm = np.argsort(colors)
+    packed = (search.bits[:, perm].astype(np.uint64) * search.pow2[None, :]).sum(axis=1, dtype=np.uint64)
+    packed.sort()
+    return packed, perm
+
+
+def test_leaf_key_blocks_match_one_shot_packing():
+    rng = random.Random(16)
+    for n, k in ((32, 16), (20, 15), (32, 10), (12, 0)):
+        search = _Search(LinearCode(n, [rng.getrandbits(n) for _ in range(k)]))
+        assert (len(search.bits) > LEAF_BLOCK) == (k > 14)
+        for _ in range(3):
+            colors = np.array([rng.randrange(n) for _ in range(n)])
+            got, want = search._leaf_key(colors), _one_shot_leaf_key(search, colors)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_canonical_form_peak_memory_on_random_32_18_code():
+    # the coordinate bits take 2^k x n bytes; unpacking them and packing
+    # leaf keys stay within a few times that (one-shot packing took 17x)
+    rng = random.Random(18)
+    code = LinearCode(32, [rng.getrandbits(32) for _ in range(18)])
+    assert code.k == 18
+    tracemalloc.start()
+    try:
+        canonical_form(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (1 << code.k) * code.n, peak / ((1 << code.k) * code.n)

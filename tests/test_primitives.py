@@ -1,7 +1,8 @@
 """Differential tests: each GF(2) primitive against the implementation it replaced.
 
 The oracles below are the earlier bodies of span reduction, the coset
-transversals, the weight enumeration and the syndrome columns, kept
+transversals, the weight enumeration, the syndrome columns and the bit
+unpacking, kept
 verbatim so that the shared primitives in ``fourweight._bits`` are
 checked against independent code on seeded random codes and on every
 catalog code.
@@ -26,6 +27,11 @@ def old_reduce_mask(x, basis):
         if x & (1 << (b.bit_length() - 1)):
             x ^= b
     return x
+
+
+def old_unpack_bits(words, n):
+    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
+    return ((np.asarray(words, dtype=np.uint64)[..., None] >> shifts) & np.uint64(1)).astype(np.uint8)
 
 
 def old_reduce_mod_masks(xs, rows):
@@ -170,3 +176,16 @@ def test_unpack_bits_reads_coordinate_one_first():
             assert "".join(map(str, row.tolist())) == mask_to_01(n, word)
         assert unpack_bits(words[0], n).shape == (n,)
         assert unpack_bits(np.zeros((0,), dtype=np.uint64), n).shape == (0, n)
+
+
+def test_unpack_bits_matches_old_shifts():
+    rng = np.random.default_rng(9)
+    for n in (1, 7) + LENGTHS:
+        for shape in ((), (0,), (13,), (4, 5), (2, 3, 6)):
+            words = rng.integers(0, 1 << 63, size=shape, dtype=np.uint64, endpoint=True)
+            words = words & np.uint64((1 << n) - 1) if n < 64 else words
+            got = unpack_bits(words, n)
+            assert got.flags.c_contiguous
+            assert got.dtype == np.uint8 and got.shape == shape + (n,)
+            assert np.array_equal(got, old_unpack_bits(words, n))
+    assert np.array_equal(unpack_bits((1 << 64) - 1, 64), old_unpack_bits((1 << 64) - 1, 64))
