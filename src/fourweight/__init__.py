@@ -7,7 +7,6 @@ first-order Reed-Muller code, and builds from each such code a set of
 matrices for parameters (n, n, (n/2a)^2, 4a^2).
 """
 
-from fourweight._bits import BitVector, rref
 from fourweight.linear import CosetTable, LinearCode, WeightDistribution
 from fourweight.reedmuller import rm1, rm1_fixed
 from fourweight.conditions import (
@@ -33,7 +32,6 @@ from fourweight.catalog import all_ids, load_code, verify_claims
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitVector",
     "CanonicalForm",
     "ClassificationReport",
     "CosetLeaderProfile",
@@ -60,7 +58,6 @@ __all__ = [
     "psi",
     "rm1",
     "rm1_fixed",
-    "rref",
     "verify_claims",
     "verify_quasi_unbiased",
     "verify_weighing",

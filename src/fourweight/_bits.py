@@ -1,4 +1,4 @@
-"""Word-packed vectors over GF(2) and row reduction on int bitmasks.
+"""GF(2) vectors as int bitmasks, and row reduction on them.
 
 Coordinates are 1-indexed at every external boundary (matching the
 support-set notation used in the published tables) and 0-indexed bit
@@ -9,7 +9,6 @@ and integer comparison equals lexicographic comparison of strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,81 +40,6 @@ def mask_to_support(n: int, bits: int) -> tuple[int, ...]:
 
 def mask_to_01(n: int, bits: int) -> str:
     return format(bits, f"0{n}b") if n else ""
-
-
-@dataclass(frozen=True)
-class BitVector:
-    """Fixed-length GF(2) vector packed into a Python int."""
-
-    n: int
-    bits: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise InputError("vector length must be nonnegative")
-        if not 0 <= self.bits < (1 << self.n):
-            raise InputError("bit pattern does not fit the stated length")
-
-    @classmethod
-    def zero(cls, n: int) -> "BitVector":
-        return cls(n, 0)
-
-    @classmethod
-    def ones(cls, n: int) -> "BitVector":
-        return cls(n, (1 << n) - 1)
-
-    @classmethod
-    def from_support(cls, n: int, support: Iterable[int]) -> "BitVector":
-        return cls(n, support_to_mask(n, support))
-
-    @classmethod
-    def from01(cls, s: str) -> "BitVector":
-        s = s.strip()
-        if s and set(s) - {"0", "1"}:
-            raise InputError(f"not a 0/1 string: {s!r}")
-        return cls(len(s), int(s, 2) if s else 0)
-
-    @property
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def support(self) -> tuple[int, ...]:
-        return mask_to_support(self.n, self.bits)
-
-    def to01(self) -> str:
-        return mask_to_01(self.n, self.bits)
-
-    @property
-    def leading_bit(self) -> int:
-        """Value of coordinate 1."""
-        if self.n == 0:
-            raise InputError("empty vector has no coordinates")
-        return (self.bits >> (self.n - 1)) & 1
-
-    def complement(self) -> "BitVector":
-        return BitVector(self.n, self.bits ^ ((1 << self.n) - 1))
-
-    def _check_len(self, other: "BitVector") -> None:
-        if self.n != other.n:
-            raise InputError(f"length mismatch: {self.n} vs {other.n}")
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        self._check_len(other)
-        return BitVector(self.n, self.bits ^ other.bits)
-
-    # GF(2) addition is XOR.
-    __add__ = __xor__
-
-    def __lt__(self, other: "BitVector") -> bool:
-        self._check_len(other)
-        return self.bits < other.bits
-
-    def __le__(self, other: "BitVector") -> bool:
-        self._check_len(other)
-        return self.bits <= other.bits
-
-    def __str__(self) -> str:
-        return self.to01()
 
 
 def rref_masks(rows: Iterable[int], n: int) -> tuple[int, ...]:
@@ -157,18 +81,6 @@ def complement_basis(rows: Iterable[int], sub: Sequence[int], n: int) -> tuple[i
     only in 0 and holds exactly one representative per coset.
     """
     return rref_masks((reduce_mask(row, sub) for row in rows), n)
-
-
-def rref(rows: Sequence[BitVector]) -> tuple[list[BitVector], int]:
-    """RREF basis and rank for a list of equal-length vectors."""
-    if not rows:
-        return [], 0
-    n = rows[0].n
-    for r in rows:
-        if r.n != n:
-            raise InputError("rows must all have the same length")
-    basis = rref_masks((r.bits for r in rows), n)
-    return [BitVector(n, b) for b in basis], len(basis)
 
 
 def span_masks(basis: Sequence[int]) -> np.ndarray:

@@ -86,9 +86,10 @@ def leader_weights(cols: np.ndarray, r: int) -> np.ndarray:
     the tile, half a tile of scratch for the passes and, when some row is
     hit more than once, the 2^e candidate rows of one tile.  Columns
     beyond e relax the whole table one pass each, dist[s] = min(dist[s],
-    dist[s ^ h] + 1), through a reversed-axis view of the 2x...x2 cube;
-    that happens only for k > min(r, ENUM_CAP) and needs a second table
-    of scratch.  The fill value 64 leaves room for the + 1 in uint8.
+    dist[s ^ h] + 1), through a reversed-axis view of the 2x...x2 cube,
+    in place and one chunk of the tile scratch at a time; that happens
+    only for k > min(r, ENUM_CAP) and needs no more memory.  The fill
+    value 64 leaves room for the + 1 in uint8.
     """
     if r > SYNDROME_GUARD:
         raise CapacityError(f"syndrome table 2^{r} exceeds guard 2^{SYNDROME_GUARD}")
@@ -163,13 +164,20 @@ def leader_weights(cols: np.ndarray, r: int) -> np.ndarray:
     dist = table.reshape(-1)
     if len(rest) > e:
         cube = dist.reshape((2,) * r)
-        tmp = np.empty_like(cube)
+        # in place, one chunk of the scratch at a time: where s ^ h is already
+        # relaxed it holds min(d[s ^ h], d[s] + 1), and min(d[s], that + 1)
+        # is still min(d[s], d[s ^ h] + 1)
+        lead = r + 1 - scratch.size.bit_length()
+        m = scratch.reshape((1,) * lead + (2,) * (r - lead))
         flip = slice(None, None, -1)
         keep = slice(None)
         for h in rest[e:]:
             view = cube[tuple(flip if (h >> (r - 1 - i)) & 1 else keep for i in range(r))]
-            np.add(view, 1, out=tmp)
-            np.minimum(cube, tmp, out=cube)
+            for idx in np.ndindex((2,) * lead):
+                # slices, not indices, so that r = 1 keeps views rather than scalars
+                chunk = tuple(slice(j, j + 1) for j in idx)
+                np.add(view[chunk], 1, out=m)
+                np.minimum(cube[chunk], m, out=cube[chunk])
     return dist
 
 
@@ -224,24 +232,6 @@ def leader_profile(code: LinearCode) -> CosetLeaderProfile:
 def covering_radius(code: LinearCode) -> int:
     """Exact covering radius: the largest coset-leader weight."""
     return leader_profile(code).radius
-
-
-def covering_radius_bruteforce(code: LinearCode) -> int:
-    """Independent oracle: max over all 2^n vectors of the distance to the code.
-
-    Vectors go in blocks of at most 2^20 / 2^k rows, so a block holds about
-    2^20 words (8 MiB) whatever the dimension.
-    """
-    if code.n > 16:
-        raise CapacityError("brute force is guarded to n <= 16")
-    words = code.words()
-    worst = 0
-    space = np.arange(1 << code.n, dtype=np.uint64)
-    rows = max(1, (1 << 20) >> code.k)
-    for lo in range(0, space.size, rows):
-        block = space[lo : lo + rows, None] ^ words[None, :]
-        worst = max(worst, int(np.bitwise_count(block).min(axis=1).max()))
-    return worst
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,7 @@ from typing import Iterable
 
 import numpy as np
 
-from fourweight._bits import (
-    BitVector,
-    complement_basis,
-    mask_to_01,
-    reduce_mask,
-    rref_masks,
-    span_masks,
-)
+from fourweight._bits import complement_basis, mask_to_01, reduce_mask, rref_masks, span_masks
 from fourweight.errors import CapacityError, InputError
 
 #: Full enumeration of 2^k codewords is refused beyond this dimension.
@@ -55,20 +48,18 @@ class LinearCode:
     are the same subspace (the RREF basis is canonical).
     """
 
-    def __init__(self, n: int, rows: Iterable[int | BitVector | str] = ()) -> None:
+    def __init__(self, n: int, rows: Iterable[int | str] = ()) -> None:
         if not 0 < n <= 64:
             raise InputError(f"code length must be 1..64 (one uint64 word per vector), not {n}")
         masks = []
         for row in rows:
-            if isinstance(row, BitVector):
-                if row.n != n:
-                    raise InputError(f"row length {row.n} != code length {n}")
-                masks.append(row.bits)
-            elif isinstance(row, str):
-                v = BitVector.from01(row)
-                if v.n != n:
-                    raise InputError(f"row length {v.n} != code length {n}")
-                masks.append(v.bits)
+            if isinstance(row, str):
+                s = row.strip()
+                if set(s) - {"0", "1"}:
+                    raise InputError(f"not a 0/1 string: {s!r}")
+                if len(s) != n:
+                    raise InputError(f"row length {len(s)} != code length {n}")
+                masks.append(int(s, 2))
             else:
                 if not 0 <= row < (1 << n):
                     raise InputError("generator row does not fit the code length")
@@ -137,11 +128,7 @@ class LinearCode:
     def __repr__(self) -> str:
         return f"LinearCode(n={self.n}, k={self.k})"
 
-    def __contains__(self, v) -> bool:
-        if isinstance(v, BitVector):
-            if v.n != self.n:
-                raise InputError(f"length mismatch: {v.n} vs {self.n}")
-            v = v.bits
+    def __contains__(self, v: int) -> bool:
         return reduce_mask(int(v), self._rows) == 0
 
     def contains(self, other: "LinearCode") -> bool:
@@ -150,10 +137,9 @@ class LinearCode:
             raise InputError(f"length mismatch: {other.n} vs {self.n}")
         return all(reduce_mask(row, self._rows) == 0 for row in other._rows)
 
-    def extend(self, x: int | BitVector) -> "LinearCode":
+    def extend(self, x: int) -> "LinearCode":
         """The code generated by self and one extra vector."""
-        bits = x.bits if isinstance(x, BitVector) else int(x)
-        return LinearCode(self.n, self._rows + (bits,))
+        return LinearCode(self.n, self._rows + (int(x),))
 
     # -- enumeration ----------------------------------------------------------
 
@@ -221,9 +207,6 @@ class LinearCode:
         assert dual.k == n - self.k
         return dual
 
-    def is_self_orthogonal(self) -> bool:
-        return self.dual().contains(self)
-
     def coset_table(self, sub: "LinearCode") -> "CosetTable":
         """One representative per coset of sub inside self.
 
@@ -248,7 +231,7 @@ class LinearCode:
         return CosetTable(
             ambient=self,
             subcode=sub,
-            representatives=tuple(BitVector(self.n, rep) for _, rep in reps),
+            representatives=tuple(rep for _, rep in reps),
         )
 
 
@@ -258,16 +241,13 @@ class CosetTable:
 
     ambient: LinearCode
     subcode: LinearCode
-    representatives: tuple[BitVector, ...]
+    representatives: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.representatives)
 
-    def leader_weights(self) -> tuple[int, ...]:
-        return tuple(v.weight for v in self.representatives)
-
-    def nontrivial_of_weight(self, w: int) -> tuple[BitVector, ...]:
-        return tuple(v for v in self.representatives if v.weight == w and v.bits)
+    def nontrivial_of_weight(self, w: int) -> tuple[int, ...]:
+        return tuple(v for v in self.representatives if v.bit_count() == w and v)
 
 
 def full_space(n: int) -> LinearCode:

@@ -8,14 +8,12 @@ empirically (see the catalog fixture), never assumed.
 
 from __future__ import annotations
 
-import hashlib
-
 from fourweight.errors import InputError
 from fourweight.linear import LinearCode
 
 # Generator rows of RM(1,4) and RM(1,5) in the fixed coordinate system
-# used by the published support tables; transcription is guarded by the
-# sha256 digests below.
+# used by the published support tables; the test suite guards their
+# transcription by sha256 digests.
 RM_FIXED_ROWS = {
     4: (
         "1001011001101001",
@@ -33,16 +31,6 @@ RM_FIXED_ROWS = {
         "00000000000000001111111111111111",
     ),
 }
-
-RM_FIXED_SHA256 = {
-    4: "0b0eaf3bbd4cf0c47f029683f671dfc0c48f10267345d0204cde9f8f78cd5278",
-    5: "9b30cf71b2f5ba53562b4c905d856f862d8cc369438c42b28475dab434511427",
-}
-
-
-def fixed_rows_digest(m: int) -> str:
-    return hashlib.sha256("\n".join(RM_FIXED_ROWS[m]).encode()).hexdigest()
-
 
 def rm1(m: int) -> LinearCode:
     """RM(1,m) by the doubling recursion: base F_2^2, then (u,u) plus (0,1)."""

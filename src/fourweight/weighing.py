@@ -5,7 +5,7 @@ product of psi(x) and psi(y) is n - 2 wt(x + y).  Each coset of the
 reference RM(1,m) inside a qualifying code is closed under complement;
 picking one vector per antipodal pair and applying psi yields rows of a
 Hadamard matrix, and distinct cosets yield quasi-unbiased pairs for
-parameters (n, n, (n/2a)^2, 4a^2).  One sign map, ``_signs``, builds a
+parameters (n, n, (n/2a)^2, 4a^2).  One sign map, ``psi``, builds a
 code's whole (s, n, n) stack; the checks run on the stack, every pair
 i < j through batched float64 products that are exact (see
 ``QuwmSet.verify``).  Verification never materializes sqrt(a): squared
@@ -20,27 +20,18 @@ from typing import Sequence
 
 import numpy as np
 
-from fourweight._bits import BitVector, unpack_bits
+from fourweight._bits import mask_to_01, unpack_bits
 from fourweight.conditions import FourWeightCertificate, reference_rm, require_certificate
 from fourweight.errors import InputError
 from fourweight.linear import LinearCode
 
 
-def _signs(words, n: int) -> np.ndarray:
-    """psi of every n-bit word in an array: int8 signs on a new last axis, coordinate 1 first."""
+def psi(words, n: int) -> np.ndarray:
+    """Coordinatewise signs 0 -> +1, 1 -> -1 of an n-bit word or array of words.
+
+    int8 signs on a new last axis, coordinate 1 first.
+    """
     return 1 - 2 * unpack_bits(words, n).view(np.int8)
-
-
-def psi(v: BitVector) -> np.ndarray:
-    """Coordinatewise sign vector: 0 -> +1, 1 -> -1 (int8, coordinate 1 first)."""
-    return _signs(v.bits, v.n)
-
-
-def psi_inverse(row: np.ndarray) -> BitVector:
-    bad = [e for e in row if e not in (-1, 1)]
-    if bad:
-        raise InputError(f"entry {bad[0]} is not a sign")
-    return BitVector(len(row), sum(1 << i for i, e in enumerate(reversed(row)) if e == -1))
 
 
 def _split(words: np.ndarray, n: int, rng: random.Random | None) -> np.ndarray:
@@ -55,9 +46,9 @@ def _split(words: np.ndarray, n: int, rng: random.Random | None) -> np.ndarray:
 
 
 def antipodal_split(
-    coset: Sequence[BitVector], rng: random.Random | None = None
-) -> list[BitVector]:
-    """One vector per antipodal pair {c, c + 1} of a complement-closed coset.
+    coset: Sequence[int], n: int, rng: random.Random | None = None
+) -> list[int]:
+    """One vector per antipodal pair {c, c + 1} of a complement-closed coset of n-bit words.
 
     The canonical choice keeps the member whose first coordinate is 0, so
     the psi image starts with +1; passing an rng picks a random member per
@@ -65,21 +56,22 @@ def antipodal_split(
     """
     if not coset:
         raise InputError("empty coset")
-    n = coset[0].n
-    if n > 64 or any(v.n != n for v in coset):
-        raise InputError("coset vectors must share one length of at most 64")
-    values = {v.bits for v in coset}
+    if not 0 < n <= 64:
+        raise InputError(f"coset vectors must have length 1..64, not {n}")
+    values = {int(v) for v in coset}
+    if any(not 0 <= v < (1 << n) for v in values):
+        raise InputError(f"coset vector does not fit length {n}")
     if len(values) != len(coset):
         raise InputError("coset contains repeated vectors")
     ones = (1 << n) - 1
     missing = [v for v in values if v ^ ones not in values]
     if missing:
         raise InputError(
-            f"coset is not closed under complement: {BitVector(n, missing[0]).to01()}"
+            f"coset is not closed under complement: {mask_to_01(n, missing[0])}"
             " has no antipodal partner"
         )
     picked = _split(np.array([sorted(values)], dtype=np.uint64), n, rng)[0]
-    return [BitVector(n, int(v)) for v in picked]
+    return [int(v) for v in picked]
 
 
 @dataclass(frozen=True)
@@ -198,9 +190,9 @@ def build_quwm_set(
     if cert is None:
         cert = require_certificate(code)
     rm = reference_rm(cert.m)
-    reps = np.array([rep.bits for rep in code.coset_table(rm).representatives], dtype=np.uint64)
+    reps = np.array(code.coset_table(rm).representatives, dtype=np.uint64)
     cosets = np.sort(reps[:, None] ^ rm.words()[None, :], axis=1)  # closed under complement
-    signs = _signs(_split(cosets, code.n, rng), code.n)
+    signs = psi(_split(cosets, code.n, rng), code.n)
     params = QuwmParams(n=code.n, k=code.n, l=cert.l, a=4 * cert.a * cert.a)
     assert len(signs) == cert.qw_set_size
     return QuwmSet(params=params, matrices=tuple(signs), source=source)
@@ -209,20 +201,3 @@ def build_quwm_set(
 def matrix_to_text(w: np.ndarray) -> str:
     return "\n".join(" ".join(str(int(e)) for e in row) for row in w) + "\n"
 
-
-def matrix_from_text(text: str) -> np.ndarray:
-    rows = []
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln:
-            continue
-        try:
-            rows.append([int(tok) for tok in ln.split()])
-        except ValueError:
-            raise InputError(f"bad matrix line: {ln!r}") from None
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise InputError("matrix rows must be nonempty and equal length")
-    arr = np.array(rows, dtype=np.int64)
-    if not np.isin(arr, (-1, 0, 1)).all():
-        raise InputError("matrix entries must be -1, 0 or 1")
-    return arr

@@ -1,8 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 from fourweight.catalog import load_code
+from fourweight.errors import InputError
 
 
 @pytest.fixture(scope="session")
@@ -26,3 +28,22 @@ def random_permutation(rng, n):
     perm = list(range(n))
     rng.shuffle(perm)
     return perm
+
+
+def matrix_from_text(text: str) -> np.ndarray:
+    """Parse a matrix written by ``fourweight.weighing.matrix_to_text``."""
+    rows = []
+    for ln in text.splitlines():
+        ln = ln.strip()
+        if not ln:
+            continue
+        try:
+            rows.append([int(tok) for tok in ln.split()])
+        except ValueError:
+            raise InputError(f"bad matrix line: {ln!r}") from None
+    if not rows or any(len(r) != len(rows[0]) for r in rows):
+        raise InputError("matrix rows must be nonempty and equal length")
+    arr = np.array(rows, dtype=np.int64)
+    if not np.isin(arr, (-1, 0, 1)).all():
+        raise InputError("matrix entries must be -1, 0 or 1")
+    return arr

@@ -1,0 +1,101 @@
+"""Independent brute-force oracles that the test suite checks the program against.
+
+They share no machinery with the kernels they certify: the covering
+radius is a scan of all 2^n vectors, and isomorphism a backtracking
+column assignment.
+"""
+
+import numpy as np
+
+from fourweight.canonical import apply_permutation
+from fourweight.errors import CapacityError
+from fourweight.linear import LinearCode
+
+
+def covering_radius_bruteforce(code: LinearCode) -> int:
+    """Independent oracle: max over all 2^n vectors of the distance to the code.
+
+    Vectors go in blocks of at most 2^20 / 2^k rows, so a block holds about
+    2^20 words (8 MiB) whatever the dimension.
+    """
+    if code.n > 16:
+        raise CapacityError("brute force is guarded to n <= 16")
+    words = code.words()
+    worst = 0
+    space = np.arange(1 << code.n, dtype=np.uint64)
+    rows = max(1, (1 << 20) >> code.k)
+    for lo in range(0, space.size, rows):
+        block = space[lo : lo + rows, None] ^ words[None, :]
+        worst = max(worst, int(np.bitwise_count(block).min(axis=1).max()))
+    return worst
+
+
+def find_isomorphism_bruteforce(c1: LinearCode, c2: LinearCode):
+    """Independent oracle (n <= 16): backtracking column assignment.
+
+    Searches for an explicit coordinate bijection mapping c1 onto c2 using
+    only elementary invariants: candidate columns must match per-weight
+    incidence counts and pairwise co-occurrence with columns already
+    placed, and the sorted prefix multisets of the codeword matrices must
+    agree at every depth.  Used by the test suite to certify canonical
+    keys; shares no machinery with the refinement search.
+    """
+    if c1.n > 16:
+        raise CapacityError("the brute-force oracle is guarded to n <= 16")
+    if c1.n != c2.n or c1.k != c2.k:
+        return None
+    if c1.weight_distribution() != c2.weight_distribution():
+        return None
+    n = c1.n
+
+    def unpack(code):
+        shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
+        bits = ((code.words()[:, None] >> shifts) & np.uint64(1)).astype(np.uint64)
+        wts = np.bitwise_count(code.words()).astype(np.int64)
+        sig = [tuple(int(bits[wts == w, j].sum()) for w in range(n + 1)) for j in range(n)]
+        classes = sorted(set(wts[wts > 0].tolist()))[:2]
+        pair = [
+            (bits[wts == w].T @ bits[wts == w]).astype(np.int64) for w in classes
+        ]
+        return bits, sig, pair
+
+    m1, sig1, pair1 = unpack(c1)
+    m2, sig2, pair2 = unpack(c2)
+    if sorted(sig1) != sorted(sig2):
+        return None
+    # place rare-signature columns first to fail fast
+    freq = {s: sig1.count(s) for s in set(sig1)}
+    order = sorted(range(n), key=lambda j: (freq[sig1[j]], sig1[j], j))
+
+    def rec(depth: int, pref1: np.ndarray, pref2: np.ndarray, img: list[int]):
+        if depth == n:
+            return list(img)
+        j1 = order[depth]
+        base1 = np.sort(pref1 * np.uint64(2) + m1[:, j1])
+        for c in range(n):
+            if c in img or sig2[c] != sig1[j1]:
+                continue
+            if any(
+                p1[j1, order[t]] != p2[c, img[t]]
+                for t in range(depth)
+                for p1, p2 in zip(pair1, pair2)
+            ):
+                continue
+            cand2 = pref2 * np.uint64(2) + m2[:, c]
+            if np.array_equal(base1, np.sort(cand2)):
+                img.append(c)
+                got = rec(depth + 1, pref1 * np.uint64(2) + m1[:, j1], cand2, img)
+                if got is not None:
+                    return got
+                img.pop()
+        return None
+
+    zero = np.zeros(m1.shape[0], dtype=np.uint64)
+    sol = rec(0, zero, zero, [])
+    if sol is None:
+        return None
+    sigma = [0] * n
+    for t in range(n):
+        sigma[order[t]] = sol[t]
+    assert apply_permutation(c1, sigma) == c2
+    return tuple(sigma)

@@ -329,6 +329,15 @@ def test_leader_weights_peak_memory_within_table_and_three_tiles():
     assert peak <= (1 << r) + 3 * LEADER_TILE, peak / (1 << r)
 
 
+def test_leader_weights_peak_memory_on_the_cube_path():
+    # k > ENUM_CAP: the columns beyond the first e relax the whole table
+    rng = random.Random(36)
+    cols, r = _column_syndromes(LinearCode(36, [rng.getrandbits(36) for _ in range(14)]))
+    assert r == 22 and "k > cap" in _leader_regimes(cols, r)
+    peak = _traced_peak(leader_weights, cols, r)
+    assert peak <= (1 << r) + (1 << (r - 1)) + 3 * LEADER_TILE, peak / (1 << r)
+
+
 def test_leader_weights_match_relaxation_on_random_codes():
     rng = random.Random(5)
     for n in (1, 5, 12, 18):

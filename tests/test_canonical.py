@@ -16,10 +16,8 @@ from fourweight.canonical import (
     apply_permutation,
     are_equivalent,
     automorphism_generators,
-    canonical_code,
     canonical_form,
     equivalence_witness,
-    find_isomorphism_bruteforce,
     permute_columns,
 )
 from fourweight import classify
@@ -32,6 +30,7 @@ from fourweight.linear import LinearCode
 from fourweight.reedmuller import rm1, rm1_fixed
 
 from conftest import random_permutation
+from oracles import find_isomorphism_bruteforce
 
 
 def test_key_invariance_under_permutations(rng, n8_codes, n16_codes):
@@ -50,7 +49,6 @@ def test_witness_reproduces_key(rng, n16_codes):
         f"{r:016b}".encode() for r in canon.row_masks
     )
     assert form.key == expected
-    assert canonical_code(code) == canon
 
 
 def test_distinct_keys_for_inequivalent_codes(n16_codes):

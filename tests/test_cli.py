@@ -165,7 +165,9 @@ def test_quwm_writes_matrices(capsys, code_file, tmp_path):
     assert payload["count"] == 8 and payload["pair_checks"]
     files = sorted(p.name for p in outdir.iterdir())
     assert files == sorted([f"H_{i}.txt" for i in range(1, 9)] + ["report.json"])
-    from fourweight.weighing import matrix_from_text, verify_weighing
+    from fourweight.weighing import verify_weighing
+
+    from conftest import matrix_from_text
 
     h1 = matrix_from_text((outdir / "H_1.txt").read_text())
     assert verify_weighing(h1, 16)

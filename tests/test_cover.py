@@ -8,7 +8,6 @@ from fourweight.canonical import apply_permutation, are_equivalent
 from fourweight.conditions import admissible_offsets, reference_rm, require_certificate
 from fourweight.cover import (
     covering_radius,
-    covering_radius_bruteforce,
     is_maximal,
     leader_profile,
     valid_extension_vectors,
@@ -18,6 +17,7 @@ from fourweight.linear import LinearCode, even_weight_code
 from fourweight.reedmuller import rm1
 
 from conftest import random_permutation
+from oracles import covering_radius_bruteforce
 
 
 def test_radius_even_weight_code():

@@ -1,0 +1,50 @@
+"""src/ holds the program only: every name it defines is exported or used by src/ itself.
+
+Test-only helpers and oracles belong under tests/ (see tests/oracles.py).
+"""
+
+import ast
+from pathlib import Path
+
+import fourweight
+
+SRC = Path(fourweight.__file__).parent
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(tree: ast.Module):
+    """Top-level functions, classes and constants, and the methods of top-level classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield item.name
+
+
+def _references(tree: ast.Module):
+    """Every name read, and every attribute taken, anywhere in the module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_src_defines_no_test_only_names():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    used = {name for tree in trees.values() for name in _references(tree)}
+    unused = [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name in _definitions(tree)
+        if not _is_dunder(name) and name not in fourweight.__all__ and name not in used
+    ]
+    assert not unused, unused

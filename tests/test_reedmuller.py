@@ -1,13 +1,17 @@
+import hashlib
+
 import pytest
 
 from fourweight.errors import InputError
 from fourweight.linear import full_space
-from fourweight.reedmuller import (
-    RM_FIXED_SHA256,
-    fixed_rows_digest,
-    rm1,
-    rm1_fixed,
-)
+from fourweight.reedmuller import RM_FIXED_ROWS, rm1, rm1_fixed
+
+# sha256 of the fixed generator rows of RM(1,4) and RM(1,5), joined by
+# newlines: guards their transcription from the published tables
+RM_FIXED_SHA256 = {
+    4: "0b0eaf3bbd4cf0c47f029683f671dfc0c48f10267345d0204cde9f8f78cd5278",
+    5: "9b30cf71b2f5ba53562b4c905d856f862d8cc369438c42b28475dab434511427",
+}
 
 
 def test_rm1_base_case():
@@ -45,7 +49,7 @@ def test_fixed_matrix_first_rows():
 
 def test_fixed_matrix_checksums():
     for m in (4, 5):
-        assert fixed_rows_digest(m) == RM_FIXED_SHA256[m]
+        assert hashlib.sha256("\n".join(RM_FIXED_ROWS[m]).encode()).hexdigest() == RM_FIXED_SHA256[m]
 
 
 @pytest.mark.parametrize("m", [4, 5])
@@ -59,10 +63,8 @@ def test_fixed_equals_recursive_as_sets(m):
 
 
 def test_fixed_contains_all_one():
-    from fourweight._bits import BitVector
-
-    assert BitVector.ones(16) in rm1_fixed(4)
-    assert BitVector.ones(32) in rm1_fixed(5)
+    assert (1 << 16) - 1 in rm1_fixed(4)
+    assert (1 << 32) - 1 in rm1_fixed(5)
 
 
 def test_fixed_weight_distribution_matches_recursive():

@@ -5,7 +5,6 @@ import random
 import numpy as np
 import pytest
 
-from fourweight._bits import BitVector
 from fourweight.catalog import all_ids, load_code
 from fourweight.conditions import require_certificate
 from fourweight.errors import InputError
@@ -16,31 +15,39 @@ from fourweight.weighing import (
     QuwmVerification,
     antipodal_split,
     build_quwm_set,
-    matrix_from_text,
     matrix_to_text,
     psi,
-    psi_inverse,
     verify_quasi_unbiased,
     verify_weighing,
 )
 
+from conftest import matrix_from_text
+
 
 def test_psi_constants():
-    assert psi(BitVector.from01("0000")).tolist() == [1, 1, 1, 1]
-    assert psi(BitVector.from01("1111")).tolist() == [-1, -1, -1, -1]
-    assert psi(BitVector.from01("10")).tolist() == [-1, 1]
+    assert psi(0b0000, 4).tolist() == [1, 1, 1, 1]
+    assert psi(0b1111, 4).tolist() == [-1, -1, -1, -1]
+    assert psi(0b10, 2).tolist() == [-1, 1]
+    assert psi(np.array([0b10, 0b01], dtype=np.uint64), 2).tolist() == [[-1, 1], [1, -1]]
+
+
+def psi_inverse(row: np.ndarray) -> int:
+    """The n-bit word whose psi image is the sign row."""
+    bad = [e for e in row if e not in (-1, 1)]
+    if bad:
+        raise InputError(f"entry {bad[0]} is not a sign")
+    return sum(1 << i for i, e in enumerate(reversed(row)) if e == -1)
 
 
 def test_psi_inverse_roundtrip():
-    v = BitVector.from01("0110100")
-    assert psi_inverse(psi(v)) == v
+    v = 0b0110100
+    assert psi_inverse(psi(v, 7)) == v
     with pytest.raises(InputError):
         psi_inverse(np.array([1, 0, -1]))
 
 
 def test_psi_inner_product_identity_exhaustive_n8():
-    vs = [BitVector(8, b) for b in range(256)]
-    images = np.stack([psi(v) for v in vs]).astype(np.int64)
+    images = psi(np.arange(256), 8).astype(np.int64)
     gram = images @ images.T
     for x in range(256):
         for y in range(256):
@@ -50,38 +57,52 @@ def test_psi_inner_product_identity_exhaustive_n8():
 def test_psi_inner_product_identity_random_n32(rng):
     xs = [rng.getrandbits(32) for _ in range(10_000)]
     ys = [rng.getrandbits(32) for _ in range(10_000)]
-    px = np.stack([psi(BitVector(32, x)) for x in xs]).astype(np.int64)
-    py = np.stack([psi(BitVector(32, y)) for y in ys]).astype(np.int64)
+    px = psi(np.array(xs, dtype=np.uint64), 32).astype(np.int64)
+    py = psi(np.array(ys, dtype=np.uint64), 32).astype(np.int64)
     dots = (px * py).sum(axis=1)
     wts = np.array([(x ^ y).bit_count() for x, y in zip(xs, ys)])
     assert (dots == 32 - 2 * wts).all()
 
 
 def test_antipodal_split_rm13():
-    coset = [BitVector(8, int(w)) for w in rm1(3).words()]
-    chosen = antipodal_split(coset)
+    coset = [int(w) for w in rm1(3).words()]
+    chosen = antipodal_split(coset, 8)
     assert len(chosen) == 8
-    assert all(v.leading_bit == 0 for v in chosen)
+    assert all(not v >> 7 for v in chosen)  # coordinate 1 is 0
     assert chosen == sorted(chosen)
 
 
 def test_antipodal_split_pair():
-    chosen = antipodal_split([BitVector.from01("0000"), BitVector.from01("1111")])
-    assert chosen == [BitVector.from01("0000")]
+    chosen = antipodal_split([0b0000, 0b1111], 4)
+    assert chosen == [0b0000]
 
 
 def test_antipodal_split_rejects_open_coset():
     with pytest.raises(InputError):
-        antipodal_split([BitVector.from01("0001"), BitVector.from01("1111")])
+        antipodal_split([0b0001, 0b1111], 4)
+
+
+@pytest.mark.parametrize(
+    "coset, n",
+    [
+        ([], 4),
+        ([0b10000, 0b01111], 4),  # a vector wider than n bits
+        ([-1, 0], 4),
+        ([0, (1 << 65) - 1], 65),  # n > 64
+        ([0, 0b1111, 0], 4),  # a repeated vector
+    ],
+)
+def test_antipodal_split_rejects_bad_input(coset, n):
+    with pytest.raises(InputError):
+        antipodal_split(coset, n)
 
 
 def test_antipodal_split_randomized_one_per_pair(rng):
-    coset = [BitVector(8, int(w)) for w in rm1(3).words()]
-    chosen = antipodal_split(coset, rng=random.Random(7))
+    coset = [int(w) for w in rm1(3).words()]
+    chosen = antipodal_split(coset, 8, rng=random.Random(7))
     assert len(chosen) == 8
-    bits = {v.bits for v in chosen}
     for v in chosen:
-        assert v.complement().bits not in bits
+        assert v ^ 0xFF not in chosen
 
 
 def test_verify_weighing_examples():
@@ -162,18 +183,17 @@ QUWM_SHA256 = "710a8bccfb1d3774b7b6e4f46bfc95c1ec3bca0da5cbcbe568bd35055b7be8df"
 QUWM_RNG11_SHA256 = "c631e88efd3d0b36106f4ac073a35f50298361ee84548146794b0f3d3b344dbf"
 
 
-def split_oracle(coset, rng=None):
+def split_oracle(coset, n, rng=None):
     """The per-pair loop antipodal_split used before the array split."""
-    n = coset[0].n
     ones = (1 << n) - 1
     picked = []
-    for v in sorted(c.bits for c in coset):
+    for v in sorted(coset):
         if rng is None:
             if not (v >> (n - 1)) & 1:
                 picked.append(v)
         elif v < v ^ ones:
             picked.append(v if rng.random() < 0.5 else v ^ ones)
-    return [BitVector(n, v) for v in sorted(picked)]
+    return sorted(picked)
 
 
 def hadamard_oracle(w_matrix, weight):
@@ -259,11 +279,12 @@ def test_antipodal_split_matches_loop_oracle(rng):
         ones = (1 << n) - 1
         for _ in range(20):
             low = rng.sample(range(1 << (n - 1)), min(6, 1 << (n - 2)))
-            coset = [BitVector(n, v) for v in low] + [BitVector(n, v ^ ones) for v in low]
+            coset = low + [v ^ ones for v in low]
             rng.shuffle(coset)
             seed = rng.getrandbits(32)
-            assert antipodal_split(coset) == split_oracle(coset)
-            assert antipodal_split(coset, random.Random(seed)) == split_oracle(coset, random.Random(seed))
+            assert antipodal_split(coset, n) == split_oracle(coset, n)
+            got = antipodal_split(coset, n, random.Random(seed))
+            assert got == split_oracle(coset, n, random.Random(seed))
 
 
 def test_verify_matches_oracle_on_catalog(catalog_sets):
