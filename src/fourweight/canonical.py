@@ -74,12 +74,12 @@ def apply_permutation(code: LinearCode, sigma) -> LinearCode:
 
 def _mix_constants(length: int) -> np.ndarray:
     """Fixed odd multipliers for order-insensitive uint64 row hashing."""
-    out = np.empty(length, dtype=np.uint64)
-    x = np.uint64(0x9E3779B97F4A7C15)
-    for i in range(length):
-        x = np.uint64((int(x) * 0xBF58476D1CE4E5B9 + 0x94D049BB133111EB) & (2**64 - 1))
-        out[i] = x | np.uint64(1)
-    return out
+    out = []
+    x = 0x9E3779B97F4A7C15
+    for _ in range(length):
+        x = (x * 0xBF58476D1CE4E5B9 + 0x94D049BB133111EB) & (2**64 - 1)
+        out.append(x | 1)
+    return np.array(out, dtype=np.uint64)
 
 
 _MIX = _mix_constants(4200)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
@@ -307,6 +306,10 @@ class VerificationReport:
 def _radii(ids: list[str], threads: int) -> dict[str, int]:
     def one(cid: str) -> tuple[str, int]:
         return cid, leader_profile(load_code(cid)).radius
+
+    if threads == 1:
+        return dict(map(one, ids))
+    from concurrent.futures import ThreadPoolExecutor  # imports logging; only threads need it
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return dict(pool.map(one, ids))

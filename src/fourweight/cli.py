@@ -17,7 +17,7 @@ from fourweight import catalog
 from fourweight.canonical import are_equivalent, equivalence_witness
 from fourweight.classify import classify_all
 from fourweight.conditions import check_conditions
-from fourweight.cover import is_maximal, leader_profile
+from fourweight.cover import CosetLeaderProfile, is_maximal
 from fourweight.errors import CapacityError, InputError
 from fourweight.linear import LinearCode
 from fourweight.reedmuller import rm1, rm1_fixed
@@ -100,12 +100,13 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_covrad(args) -> int:
-    profile = leader_profile(_load(args.code))
+    profile = CosetLeaderProfile.with_table(_load(args.code))
+    histogram = profile.histogram()
     payload = {
         "radius": profile.radius,
-        "leader_weight_histogram": {str(w): c for w, c in profile.histogram().items()},
+        "leader_weight_histogram": {str(w): c for w, c in histogram.items()},
     }
-    _emit(payload, args, [f"covering radius: {profile.radius}", f"histogram: {profile.histogram()}"])
+    _emit(payload, args, [f"covering radius: {profile.radius}", f"histogram: {histogram}"])
     return EXIT_OK
 
 

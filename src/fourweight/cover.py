@@ -10,19 +10,22 @@ subset of e coordinates fills one row of the table with its popcount
 over the low bits, and the top e unit columns are spent by one
 contiguous pass per bit.  Neither step mixes low columns, so the table is
 built one L2-sized tile of low columns at a time (see leader_weights).
-Maximality of a qualifying code asks whether some coset could extend it
-within the same weight set; when the weight set is doubly even any
-extension vector must lie in the dual, so the scan shrinks to the
-2^(n-2k) cosets of C inside C-perp.
+The covering radius needs only the max, so its sweep holds one tile plus
+scratch and never the table.  Maximality of a qualifying code asks
+whether some coset could extend it within the same weight set; when the
+weight set is doubly even any extension vector must lie in the dual, so
+the scan shrinks to the 2^(n-2k) cosets of C inside C-perp, filtered one
+block of REP_BLOCK representatives at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from fourweight._bits import complement_basis, span_masks, unpack_bits
+from fourweight._bits import SPAN_GUARD, complement_basis, span_masks, unpack_bits
 from fourweight.conditions import FourWeightCertificate, require_certificate
 from fourweight.errors import CapacityError
 from fourweight.linear import LinearCode, full_space
@@ -37,6 +40,9 @@ ENUM_CAP = 12
 #: word against every live rep when more reps than that are live.
 SIEVE_BLOCK = 1 << 14
 
+#: The coset filter takes the extension cosets 2^16 representatives at a time.
+REP_BLOCK = 1 << 16
+
 #: The leader sweep fills and relaxes its table one tile of 2^20 bytes at a
 #: time, small enough to stay in a core's L2 cache.
 LEADER_TILE = 1 << 20
@@ -49,6 +55,89 @@ def _column_syndromes(code: LinearCode) -> tuple[np.ndarray, int]:
     bits = unpack_bits(dual_rows, code.n).astype(np.uint64)  # (r, n): row i has bit i
     cols = (bits << np.arange(r, dtype=np.uint64)[:, None]).sum(axis=0, dtype=np.uint64)
     return cols, r
+
+
+def _free_columns(cols: np.ndarray, r: int) -> list[int]:
+    """The nonzero non-pivot columns h, once every unit syndrome is found among cols."""
+    if r > SYNDROME_GUARD:
+        raise CapacityError(f"syndrome table 2^{r} exceeds guard 2^{SYNDROME_GUARD}")
+    rest = cols.tolist()
+    for i in range(r):
+        if (1 << i) not in rest:
+            raise ValueError(f"unit syndrome 1<<{i} missing: parity rows are not in RREF")
+        rest.remove(1 << i)
+    return [h for h in rest if h]
+
+
+def _relaxed_tiles(rest: list[int], r: int, e: int):
+    """Yield (first low column, tile) for each tile of the table over the columns rest[:e].
+
+    Every tile is built in one buffer, which the next tile overwrites.
+    """
+    low = r - e
+    # Hx and wt(x) for every subset x of the first e columns (bit j of the
+    # index selects column j), ordered by (rank layer, falling multiplicity, row)
+    syn = span_masks(rest[:e])
+    wt = np.bitwise_count(np.arange(syn.size, dtype=np.uint64))
+    rows = (syn >> np.uint64(low)).astype(np.intp)
+    order = np.argsort(rows, kind="stable")
+    syn, wt, rows = syn[order], wt[order], rows[order]
+    counts = np.bincount(rows)
+    rank = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    order = np.lexsort((rows, -np.repeat(counts, counts), rank))
+    syn, wt, rows = syn[order].astype(np.uint32), wt[order], rows[order]
+    sizes = np.bincount(rank)  # layer sizes, falling; equal ones are adjacent
+    ends = np.cumsum(sizes)
+    groups = [  # (offset, layers, rows) of each run of equal-size layers after layer 0
+        (int(ends[t]), int(q), int(n))
+        for n, t, q in zip(*np.unique(sizes[1:], return_index=True, return_counts=True))
+    ]
+    # a tile is (2^e rows, 2^tile_bits low columns) = (2^e, na, nb), low = (a, b)
+    tile_bits = min(low, LEADER_TILE.bit_length() - 1 - e)
+    half = min(low // 2, tile_bits)
+    na, nb = 1 << (tile_bits - half), 1 << half
+    pop_a = np.bitwise_count(
+        np.arange(1 << (low - half), dtype=np.uint32) ^ ((syn >> half) & ((1 << (low - half)) - 1))[:, None]
+    )
+    pop_b = np.bitwise_count(np.arange(nb, dtype=np.uint32) ^ (syn & (nb - 1))[:, None]) + wt[:, None]
+    direct = not groups  # every row hit once, in row order
+    # one buffer for the tile, half a tile of pass scratch and the spill rows:
+    # as three, glibc's malloc handed them back to the OS after each sweep and
+    # the next sweep faulted them in again (3x the page faults on verify32)
+    size = 1 << (e + tile_bits)
+    work = np.empty(size + size // 2 + (0 if direct else (rows.size + 1) * na * nb), dtype=np.uint8)
+    tile = work[:size].reshape(1 << e, 1 << tile_bits)
+    cells = tile.reshape(1 << e, na, nb)
+    scratch = work[size : size + size // 2]
+    if direct:
+        cand = cells
+    else:
+        # the syndromes' candidates, then one row of 64 for the rows none hits
+        spill = work[size + size // 2 :].reshape(rows.size + 1, na, nb)
+        spill[-1] = 64
+        cand = spill[:-1]
+        source = np.full(1 << e, rows.size)
+        source[rows[: sizes[0]]] = np.arange(sizes[0])
+    for c0 in range(0, 1 << low, tile.shape[1]):
+        a0 = c0 >> half
+        np.add(pop_a[:, a0 : a0 + na, None], pop_b[:, None, :], out=cand)
+        for off, q, n in groups:
+            fold = scratch[: n * na * nb].reshape(n, na, nb)
+            np.minimum.reduce(cand[off : off + q * n].reshape(q, n, na, nb), axis=0, out=fold)
+            np.minimum(cand[:n], fold, out=cand[:n])
+        if not direct:
+            # every index is in range; mode="raise" would buffer out
+            np.take(spill, source, axis=0, out=cells, mode="clip")
+        flat = tile.reshape(-1)
+        for i in range(e):
+            pair = flat.reshape(-1, 2, tile.shape[1] << i)
+            a, b = pair[:, 0], pair[:, 1]
+            m = scratch[: a.size].reshape(a.shape)
+            np.minimum(a, b, out=m)
+            np.add(m, 1, out=m)
+            np.minimum(a, m, out=a)
+            np.minimum(b, m, out=b)
+        yield c0, tile
 
 
 def leader_weights(cols: np.ndarray, r: int) -> np.ndarray:
@@ -84,89 +173,27 @@ def leader_weights(cols: np.ndarray, r: int) -> np.ndarray:
     0.  Equal-size layers are adjacent, and each run of them folds into
     layer 0 with one min-reduction.  Besides the table, the sweep holds
     the tile, half a tile of scratch for the passes and, when some row is
-    hit more than once, the 2^e candidate rows of one tile.  Columns
-    beyond e relax the whole table one pass each, dist[s] = min(dist[s],
-    dist[s ^ h] + 1), through a reversed-axis view of the 2x...x2 cube,
-    in place and one chunk of the tile scratch at a time; that happens
-    only for k > min(r, ENUM_CAP) and needs no more memory.  The fill
-    value 64 leaves room for the + 1 in uint8.
+    hit more than once, the 2^e candidate rows of one tile.  The covering
+    radius (see leader_profile) runs the same sweep without the table: it
+    holds one tile plus that scratch and keeps only the running max.
+    Columns beyond e relax the whole table one pass each,
+    dist[s] = min(dist[s], dist[s ^ h] + 1), through a reversed-axis view
+    of the 2x...x2 cube, in place and one chunk of half a tile of scratch
+    at a time; that happens only for k > min(r, ENUM_CAP) and needs no
+    more memory.  The fill value 64 leaves room for the + 1 in uint8.
     """
-    if r > SYNDROME_GUARD:
-        raise CapacityError(f"syndrome table 2^{r} exceeds guard 2^{SYNDROME_GUARD}")
-    rest = cols.tolist()
-    for i in range(r):
-        if (1 << i) not in rest:
-            raise ValueError(f"unit syndrome 1<<{i} missing: parity rows are not in RREF")
-        rest.remove(1 << i)
-    rest = [h for h in rest if h]
+    rest = _free_columns(cols, r)
     e = min(len(rest), r, ENUM_CAP)
-    low = r - e
-    # Hx and wt(x) for every subset x of the first e columns (bit j of the
-    # index selects column j), ordered by (rank layer, falling multiplicity, row)
-    syn = span_masks(rest[:e])
-    wt = np.bitwise_count(np.arange(syn.size, dtype=np.uint64))
-    rows = (syn >> np.uint64(low)).astype(np.intp)
-    order = np.argsort(rows, kind="stable")
-    syn, wt, rows = syn[order], wt[order], rows[order]
-    counts = np.bincount(rows)
-    rank = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    order = np.lexsort((rows, -np.repeat(counts, counts), rank))
-    syn, wt, rows = syn[order].astype(np.uint32), wt[order], rows[order]
-    sizes = np.bincount(rank)  # layer sizes, falling; equal ones are adjacent
-    ends = np.cumsum(sizes)
-    groups = [  # (offset, layers, rows) of each run of equal-size layers after layer 0
-        (int(ends[t]), int(q), int(n))
-        for n, t, q in zip(*np.unique(sizes[1:], return_index=True, return_counts=True))
-    ]
-    # a tile is (2^e rows, 2^tile_bits low columns) = (2^e, na, nb), low = (a, b)
-    tile_bits = min(low, LEADER_TILE.bit_length() - 1 - e)
-    half = min(low // 2, tile_bits)
-    na, nb = 1 << (tile_bits - half), 1 << half
-    pop_a = np.bitwise_count(
-        np.arange(1 << (low - half), dtype=np.uint32) ^ ((syn >> half) & ((1 << (low - half)) - 1))[:, None]
-    )
-    pop_b = np.bitwise_count(np.arange(nb, dtype=np.uint32) ^ (syn & (nb - 1))[:, None]) + wt[:, None]
-    table = np.empty((1 << e, 1 << low), dtype=np.uint8)
-    tile = table if tile_bits == low else np.empty((1 << e, 1 << tile_bits), dtype=np.uint8)
-    cells = tile.reshape(1 << e, na, nb)
-    scratch = np.empty(tile.size // 2, dtype=np.uint8)
-    direct = not groups  # every row hit once, in row order
-    if direct:
-        cand = cells
-    else:
-        # the syndromes' candidates, then one row of 64 for the rows none hits
-        spill = np.empty((rows.size + 1, na, nb), dtype=np.uint8)
-        spill[-1] = 64
-        cand = spill[:-1]
-        source = np.full(1 << e, rows.size)
-        source[rows[: sizes[0]]] = np.arange(sizes[0])
-    for c0 in range(0, 1 << low, tile.shape[1]):
-        a0 = c0 >> half
-        np.add(pop_a[:, a0 : a0 + na, None], pop_b[:, None, :], out=cand)
-        for off, q, n in groups:
-            fold = scratch[: n * na * nb].reshape(n, na, nb)
-            np.minimum.reduce(cand[off : off + q * n].reshape(q, n, na, nb), axis=0, out=fold)
-            np.minimum(cand[:n], fold, out=cand[:n])
-        if not direct:
-            # every index is in range; mode="raise" would buffer out
-            np.take(spill, source, axis=0, out=cells, mode="clip")
-        flat = tile.reshape(-1)
-        for i in range(e):
-            pair = flat.reshape(-1, 2, tile.shape[1] << i)
-            a, b = pair[:, 0], pair[:, 1]
-            m = scratch[: a.size].reshape(a.shape)
-            np.minimum(a, b, out=m)
-            np.add(m, 1, out=m)
-            np.minimum(a, m, out=a)
-            np.minimum(b, m, out=b)
-        if tile is not table:
-            table[:, c0 : c0 + tile.shape[1]] = tile
+    table = np.empty((1 << e, 1 << (r - e)), dtype=np.uint8)
+    for c0, tile in _relaxed_tiles(rest, r, e):
+        table[:, c0 : c0 + tile.shape[1]] = tile
     dist = table.reshape(-1)
     if len(rest) > e:
         cube = dist.reshape((2,) * r)
         # in place, one chunk of the scratch at a time: where s ^ h is already
         # relaxed it holds min(d[s ^ h], d[s] + 1), and min(d[s], that + 1)
         # is still min(d[s], d[s ^ h] + 1)
+        scratch = np.empty(min(dist.size, LEADER_TILE) // 2, dtype=np.uint8)
         lead = r + 1 - scratch.size.bit_length()
         m = scratch.reshape((1,) * lead + (2,) * (r - lead))
         flip = slice(None, None, -1)
@@ -179,6 +206,24 @@ def leader_weights(cols: np.ndarray, r: int) -> np.ndarray:
                 np.add(view[chunk], 1, out=m)
                 np.minimum(cube[chunk], m, out=cube[chunk])
     return dist
+
+
+def _sweep_radius(cols: np.ndarray, r: int) -> int:
+    """max(leader_weights(cols, r)), from one reused tile when no column is left for the cube.
+
+    Checks on the way that syndrome 0 has leader weight 0.
+    """
+    rest = _free_columns(cols, r)
+    e = min(len(rest), r, ENUM_CAP)
+    if len(rest) > e:  # the cube passes relax the whole table
+        table = leader_weights(cols, r)
+        assert table[0] == 0
+        return int(table.max())
+    radius = 0
+    for c0, tile in _relaxed_tiles(rest, r, e):
+        assert c0 or tile[0, 0] == 0
+        radius = max(radius, int(tile.max()))
+    return radius
 
 
 def coset_filter(words: np.ndarray, reps: np.ndarray, allowed: int) -> np.ndarray:
@@ -206,16 +251,31 @@ def coset_filter(words: np.ndarray, reps: np.ndarray, allowed: int) -> np.ndarra
     return out
 
 
+def _leader_table(code: LinearCode) -> np.ndarray:
+    cols, r = _column_syndromes(code)
+    table = leader_weights(cols, r)
+    assert table[0] == 0
+    return table
+
+
 @dataclass(frozen=True)
 class CosetLeaderProfile:
-    """Leader weight per syndrome for one code; the max is the covering radius."""
+    """The covering radius of one code; the leader weight per syndrome is built on first access."""
 
     code: LinearCode
-    leader_weight: np.ndarray
+    radius: int
 
-    @property
-    def radius(self) -> int:
-        return int(self.leader_weight.max())
+    @classmethod
+    def with_table(cls, code: LinearCode) -> CosetLeaderProfile:
+        """The profile read off the whole table, for callers that want both: one sweep."""
+        table = _leader_table(code)
+        profile = cls(code=code, radius=int(table.max()))
+        profile.__dict__["leader_weight"] = table  # the cached_property's slot
+        return profile
+
+    @cached_property
+    def leader_weight(self) -> np.ndarray:
+        return _leader_table(self.code)
 
     def histogram(self) -> dict[int, int]:
         counts = np.bincount(self.leader_weight)
@@ -223,10 +283,8 @@ class CosetLeaderProfile:
 
 
 def leader_profile(code: LinearCode) -> CosetLeaderProfile:
-    cols, r = _column_syndromes(code)
-    table = leader_weights(cols, r)
-    assert table[0] == 0
-    return CosetLeaderProfile(code=code, leader_weight=table)
+    """The covering radius, swept eagerly without the 2^(n-k)-byte table (see leader_weights)."""
+    return CosetLeaderProfile(code=code, radius=_sweep_radius(*_column_syndromes(code)))
 
 
 def covering_radius(code: LinearCode) -> int:
@@ -242,28 +300,43 @@ class MaximalityResult:
     radius: int | None
 
 
-def _extension_candidates(code: LinearCode, a: int) -> np.ndarray:
-    """Coset reps x for which <code, x> could keep the weight set, unfiltered.
+def _extension_blocks(code: LinearCode, a: int):
+    """Coset reps x for which <code, x> could keep the weight set, unfiltered, in blocks.
 
     For doubly even weight sets every valid x lies in the dual, so reps
-    run over C-perp/C; otherwise over all of F_2^n / C.
+    run over C-perp/C; otherwise over all of F_2^n / C.  Block j is
+    span(first rows of the complement basis) ^ h_j, REP_BLOCK reps, for h_j
+    over the span of the remaining rows, so the blocks in turn are
+    span_masks(basis) without its leading zero.
     """
     n = code.n
     allowed = (n // 2 - a, n // 2, n // 2 + a)
     ambient = code.dual() if all(w % 4 == 0 for w in allowed) else full_space(n)
-    reps = span_masks(complement_basis(ambient.row_masks, code.row_masks, n))
-    return reps[1:]
+    basis = complement_basis(ambient.row_masks, code.row_masks, n)
+    if len(basis) > SPAN_GUARD:
+        raise CapacityError(f"span enumeration of 2^{len(basis)} words exceeds guard 2^{SPAN_GUARD}")
+    split = REP_BLOCK.bit_length() - 1
+    base = span_masks(basis[:split])
+    yield base[1:]
+    for h in span_masks(basis[split:])[1:]:
+        yield base ^ h
 
 
 def valid_extension_vectors(code: LinearCode, a: int) -> list[int]:
-    """All coset reps x (sorted) with every weight of x + code in {n/2-a, n/2, n/2+a}."""
+    """All coset reps x (sorted) with every weight of x + code in {n/2-a, n/2, n/2+a}.
+
+    The reps are filtered one block of REP_BLOCK at a time, so the sweep
+    holds a block and its sieve temporaries besides the survivors.
+    """
     n = code.n
     allowed_mask = 0
     for w in (n // 2 - a, n // 2, n // 2 + a):
         allowed_mask |= 1 << w
-    reps = _extension_candidates(code, a)
-    keep = coset_filter(code.words(), reps, allowed_mask)
-    return sorted(int(x) for x in reps[keep])
+    words = code.words()
+    found: list[int] = []
+    for reps in _extension_blocks(code, a):
+        found += reps[coset_filter(words, reps, allowed_mask)].tolist()
+    return sorted(found)
 
 
 def is_maximal(

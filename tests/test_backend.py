@@ -9,21 +9,25 @@ import numpy as np
 import pytest
 
 import fourweight
-from fourweight._bits import span_masks
+from fourweight._bits import complement_basis, span_masks
 from fourweight.catalog import all_ids, load_code
 from fourweight.classify import classify_step
 from fourweight.cover import (
     ENUM_CAP,
     LEADER_TILE,
+    REP_BLOCK,
     SIEVE_BLOCK,
     SYNDROME_GUARD,
     _column_syndromes,
-    _extension_candidates,
+    _extension_blocks,
+    _sweep_radius,
     coset_filter,
+    leader_profile,
     leader_weights,
+    valid_extension_vectors,
 )
 from fourweight.errors import CapacityError
-from fourweight.linear import LinearCode
+from fourweight.linear import LinearCode, full_space
 from fourweight.reedmuller import rm1, rm1_fixed
 
 # sha256 of the leader tables of all catalog codes, concatenated in all_ids() order
@@ -170,6 +174,18 @@ def _mask(weights):
     return out
 
 
+def _extension_reps(code, a):
+    """The blocks of _extension_blocks, concatenated."""
+    return np.concatenate(list(_extension_blocks(code, a)))
+
+
+def _unblocked_extension_reps(code, a):
+    """Every extension coset rep at once, as the filter took them before it walked blocks."""
+    n = code.n
+    ambient = code.dual() if all(w % 4 == 0 for w in (n // 2 - a, n // 2, n // 2 + a)) else full_space(n)
+    return span_masks(complement_basis(ambient.row_masks, code.row_masks, n))[1:]
+
+
 def test_leader_weights_small_case():
     # parity-check of the [3,1] repetition code: columns 11, 10, 01
     cols = np.array([0b11, 0b10, 0b01], dtype=np.uint64)
@@ -204,12 +220,12 @@ def test_coset_filter_matches_chunked_oracle():
 def test_coset_filter_matches_oracle_on_extension_cosets():
     for cid, a in (("C_{16,6,1}", 2), ("C_{16,6,2}", 4), ("C_{8,5}", 2)):
         code = load_code(cid)
-        reps = _extension_candidates(code, a)
+        reps = _extension_reps(code, a)
         allowed = _mask((code.n // 2 - a, code.n // 2, code.n // 2 + a))
         expect = chunked_filter_oracle(code.words(), reps, allowed)
         assert expect.any() and not expect.all()
         assert np.array_equal(coset_filter(code.words(), reps, allowed), expect)
-    reps = _extension_candidates(rm1(5), 8)
+    reps = _extension_reps(rm1(5), 8)
     allowed = _mask((8, 16, 24))
     expect = chunked_filter_oracle(rm1(5).words(), reps, allowed)
     assert np.array_equal(coset_filter(rm1(5).words(), reps, allowed), expect)
@@ -261,7 +277,7 @@ def test_coset_filter_matches_one_word_oracle_on_a4_cosets():
         codes.append(sub)
     survivors = []
     for code in codes:
-        reps = _extension_candidates(code, 4)
+        reps = _extension_reps(code, 4)
         assert reps.size == (1 << 14) - 1
         survivors.append(_assert_sieve_matches_one_word_oracle(code.words(), reps, allowed).sum())
     assert survivors[:3] == [0, 0, 0] and all(survivors[3:])
@@ -272,7 +288,7 @@ def test_coset_filter_matches_one_word_oracle_on_a8_branch():
     seeds, sizes = [rm1_fixed(5)], []
     while seeds:
         for code in seeds:
-            reps = _extension_candidates(code, 8)
+            reps = _extension_reps(code, 8)
             sizes.append(reps.size)
             _assert_sieve_matches_one_word_oracle(code.words(), reps, allowed)
         seeds = [rec.code for rec in classify_step(seeds, 8).classes]
@@ -299,15 +315,20 @@ def test_coset_filter_peak_memory_within_one_word_oracle():
     assert sieve <= 1.1 * oracle, (sieve, oracle)
 
 
-def test_leader_weights_match_whole_table_oracle_in_each_regime():
+def _regime_inputs():
+    """(cols, r) of seeded random codes and table codes that take every path of leader_weights."""
     rng = random.Random(23)
     inputs = [
         _column_syndromes(LinearCode(n, [rng.getrandbits(n) for _ in range(k)]))
         for n, k in ((6, 6), (12, 5), (16, 8), (20, 14), (32, 10), (36, 14))
     ]
     inputs += [_column_syndromes(load_code(cid)) for cid in ("C_{32,9,5}", "C_{32,10,3}", "C_{32,11,1}")]
+    return inputs
+
+
+def test_leader_weights_match_whole_table_oracle_in_each_regime():
     seen = []
-    for cols, r in inputs:
+    for cols, r in _regime_inputs():
         seen.append(_leader_regimes(cols, r))
         assert leader_weights(cols, r).tobytes() == whole_table_oracle(cols, r).tobytes()
     for regime in (
@@ -320,6 +341,61 @@ def test_leader_weights_match_whole_table_oracle_in_each_regime():
         {"several tiles", "k > cap"},
     ):
         assert any(regime <= got for got in seen), regime
+
+
+def test_sweep_radius_matches_table_max_in_each_regime():
+    regimes = set()
+    for cols, r in _regime_inputs():
+        regimes |= _leader_regimes(cols, r)
+        assert _sweep_radius(cols, r) == int(leader_weights(cols, r).max())
+    assert regimes == {"r = 0", "one tile", "several tiles", "direct fill", "rank layers", "k > cap"}
+
+
+def test_sweep_radius_matches_table_max_on_a8_branch():
+    seeds, radii = [rm1_fixed(5)], []
+    while seeds:
+        for code in seeds:
+            cols, r = _column_syndromes(code)
+            radii.append(_sweep_radius(cols, r))
+            assert radii[-1] == int(leader_weights(cols, r).max())
+            assert leader_profile(code).radius == radii[-1]
+        seeds = [rec.code for rec in classify_step(seeds, 8).classes]
+    assert len(radii) == 6  # RM(1,5) and the 1/1/2/1 classes at k = 7..10
+
+
+def test_sweep_radius_peak_memory_within_three_tiles():
+    # the parent filled the 2^23-byte table to take its max (10.7 MiB traced)
+    code = load_code("C_{32,9,5}")
+    peak = _traced_peak(lambda: leader_profile(code).radius)
+    assert peak <= 3 * LEADER_TILE + (1 << 16), peak
+
+
+def test_valid_extension_vectors_match_unblocked_filter():
+    rng = random.Random(10)
+    rows = load_code("C_{32,10,3}").row_masks
+    sub = rm1_fixed(5)
+    while sub.k != 9:
+        picks = [rng.choice(rows) ^ rng.choice(rows) ^ rng.choice(rows) for _ in range(3)]
+        sub = LinearCode(32, rm1_fixed(5).row_masks + tuple(picks))
+    sizes = []
+    for code, a in ((rm1_fixed(5), 8), (rm1_fixed(5), 4), (sub, 4)):
+        reps = _unblocked_extension_reps(code, a)
+        assert np.array_equal(_extension_reps(code, a), reps)
+        allowed = _mask((16 - a, 16, 16 + a))
+        expect = sorted(reps[coset_filter(code.words(), reps, allowed)].tolist())
+        assert valid_extension_vectors(code, a) == expect
+        sizes.append((reps.size, len(expect)))
+    assert sizes[0][0] == sizes[1][0] == (1 << 20) - 1
+    assert len(list(_extension_blocks(rm1_fixed(5), 8))) == (1 << 20) // REP_BLOCK
+    assert sizes[1][1] == 219604 and sizes[2][0] == (1 << 14) - 1 and sizes[2][1] > 0
+
+
+def test_valid_extension_vectors_peak_memory_within_4_mib():
+    # the parent held all 2^20 reps, their index and an XOR temporary (25 MiB traced)
+    code = rm1_fixed(5)
+    code.words()
+    peak = _traced_peak(valid_extension_vectors, code, 8)
+    assert peak <= 4 << 20, peak
 
 
 def test_leader_weights_peak_memory_within_table_and_three_tiles():

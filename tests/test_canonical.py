@@ -12,6 +12,7 @@ from fourweight.canonical import (
     _canonicalize,
     _find,
     _mix,
+    _mix_constants,
     _unique_rows,
     apply_permutation,
     are_equivalent,
@@ -436,6 +437,14 @@ def test_are_equivalent_matches_bruteforce_on_random_codes(pair):
     a, b = pair
     assert a.k == b.k
     assert are_equivalent(a, b) == (find_isomorphism_bruteforce(a, b) is not None)
+
+
+def test_mix_constants_are_pinned():
+    # the row-hash multipliers every canonical key depends on
+    digest = hashlib.sha256(_mix_constants(4200).tobytes()).hexdigest()
+    assert digest == "208b42ea4b3197a7a95207edffd1c710b59a040b120de91df2cbbaa5d02bbf7d"
+    assert _mix_constants(4200).dtype == np.uint64
+    assert np.array_equal(_mix(4300)[:4200], _mix_constants(4200))
 
 
 def test_unique_rows_matches_numpy():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fourweight.canonical import apply_permutation, are_equivalent
 from fourweight.conditions import admissible_offsets, reference_rm, require_certificate
 from fourweight.cover import (
+    CosetLeaderProfile,
     covering_radius,
     is_maximal,
     leader_profile,
@@ -66,6 +67,17 @@ def test_leader_table_shape(n16_codes):
     assert profile.leader_weight.size == 1 << 9
     assert profile.leader_weight[0] == 0
     assert sum(profile.histogram().values()) == 1 << 9
+
+
+def test_table_profile_matches_swept_profile(n8_codes, n16_codes):
+    # the length-8 codes take the cube path (k > r); the length-16 ones sweep tiles
+    for code in list(n8_codes.values()) + list(n16_codes.values()):
+        swept = leader_profile(code)
+        assert "leader_weight" not in vars(swept)  # built on first access
+        whole = CosetLeaderProfile.with_table(code)
+        assert swept.radius == whole.radius == int(swept.leader_weight.max())
+        assert swept.histogram() == whole.histogram()
+        assert swept.leader_weight is swept.leader_weight  # cached
 
 
 def test_histogram_permutation_invariant(rng, n16_codes):
