@@ -307,9 +307,7 @@ def _radii(ids: list[str], threads: int) -> dict[str, int]:
     def one(cid: str) -> tuple[str, int]:
         return cid, leader_profile(load_code(cid)).radius
 
-    if threads == 1:
-        return dict(map(one, ids))
-    from concurrent.futures import ThreadPoolExecutor  # imports logging; only threads need it
+    from concurrent.futures import ThreadPoolExecutor  # imports logging, which import fourweight skips
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return dict(pool.map(one, ids))

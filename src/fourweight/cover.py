@@ -69,10 +69,12 @@ def _free_columns(cols: np.ndarray, r: int) -> list[int]:
     return [h for h in rest if h]
 
 
-def _relaxed_tiles(rest: list[int], r: int, e: int):
+def _relaxed_tiles(rest: list[int], r: int, e: int, table: np.ndarray | None = None):
     """Yield (first low column, tile) for each tile of the table over the columns rest[:e].
 
-    Every tile is built in one buffer, which the next tile overwrites.
+    Every tile is built in one buffer, which the next tile overwrites.  When
+    the whole (2^e, 2^(r-e)) table is one tile and table is given, the tile
+    is built in table itself.
     """
     low = r - e
     # Hx and wt(x) for every subset x of the first e columns (bit j of the
@@ -105,15 +107,16 @@ def _relaxed_tiles(rest: list[int], r: int, e: int):
     # as three, glibc's malloc handed them back to the OS after each sweep and
     # the next sweep faulted them in again (3x the page faults on verify32)
     size = 1 << (e + tile_bits)
-    work = np.empty(size + size // 2 + (0 if direct else (rows.size + 1) * na * nb), dtype=np.uint8)
-    tile = work[:size].reshape(1 << e, 1 << tile_bits)
+    own = 0 if table is not None and tile_bits == low else size  # bytes of work for the tile
+    work = np.empty(own + size // 2 + (0 if direct else (rows.size + 1) * na * nb), dtype=np.uint8)
+    tile = work[:own].reshape(1 << e, 1 << tile_bits) if own else table
     cells = tile.reshape(1 << e, na, nb)
-    scratch = work[size : size + size // 2]
+    scratch = work[own : own + size // 2]
     if direct:
         cand = cells
     else:
         # the syndromes' candidates, then one row of 64 for the rows none hits
-        spill = work[size + size // 2 :].reshape(rows.size + 1, na, nb)
+        spill = work[own + size // 2 :].reshape(rows.size + 1, na, nb)
         spill[-1] = 64
         cand = spill[:-1]
         source = np.full(1 << e, rows.size)
@@ -162,8 +165,9 @@ def leader_weights(cols: np.ndarray, r: int) -> np.ndarray:
     So the table is built one tile at a time: all 2^e rows times a block
     of low columns, one contiguous buffer of LEADER_TILE bytes.  A tile
     stays in a core's L2 cache from its fill through all e passes and is
-    then copied into the table once; a pass over the whole table would
-    stream 4-32 MiB through memory per bit instead.  The fill adds two
+    then copied into the table once, or is the table when one tile covers
+    it; a pass over the whole table would stream 4-32 MiB through memory
+    per bit instead.  The fill adds two
     small per-syndrome popcount tables, over the high and the low half of
     the low bits, by broadcasting; a row hit by exactly one subset gets
     its sum as is.  Rows hit by several subsets (dependent columns) take
@@ -185,8 +189,10 @@ def leader_weights(cols: np.ndarray, r: int) -> np.ndarray:
     rest = _free_columns(cols, r)
     e = min(len(rest), r, ENUM_CAP)
     table = np.empty((1 << e, 1 << (r - e)), dtype=np.uint8)
-    for c0, tile in _relaxed_tiles(rest, r, e):
-        table[:, c0 : c0 + tile.shape[1]] = tile
+    for c0, tile in _relaxed_tiles(rest, r, e, table):
+        if tile is not table:
+            table[:, c0 : c0 + tile.shape[1]] = tile
+    del tile  # else it keeps the sweep's buffer alive through the cube passes
     dist = table.reshape(-1)
     if len(rest) > e:
         cube = dist.reshape((2,) * r)
@@ -265,12 +271,17 @@ class CosetLeaderProfile:
     code: LinearCode
     radius: int
 
+    # Invariant: radius == leader_weight.max().  Both constructors keep it;
+    # the dataclass's own __init__ does not check it.
+
     @classmethod
     def with_table(cls, code: LinearCode) -> CosetLeaderProfile:
         """The profile read off the whole table, for callers that want both: one sweep."""
         table = _leader_table(code)
         profile = cls(code=code, radius=int(table.max()))
-        profile.__dict__["leader_weight"] = table  # the cached_property's slot
+        # cached_property keeps its value in the instance __dict__ under its
+        # own name, which a frozen dataclass still lets us write
+        profile.__dict__["leader_weight"] = table
         return profile
 
     @cached_property

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fourweight.catalog import load_code
+from fourweight.cover import _extension_blocks
 from fourweight.errors import InputError
 
 
@@ -47,3 +48,8 @@ def matrix_from_text(text: str) -> np.ndarray:
     if not np.isin(arr, (-1, 0, 1)).all():
         raise InputError("matrix entries must be -1, 0 or 1")
     return arr
+
+
+def extension_reps(code, a):
+    """The blocks of ``fourweight.cover._extension_blocks``, concatenated."""
+    return np.concatenate(list(_extension_blocks(code, a)))

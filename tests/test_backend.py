@@ -30,6 +30,8 @@ from fourweight.errors import CapacityError
 from fourweight.linear import LinearCode, full_space
 from fourweight.reedmuller import rm1, rm1_fixed
 
+from conftest import extension_reps
+
 # sha256 of the leader tables of all catalog codes, concatenated in all_ids() order
 CATALOG_LEADER_SHA256 = "a65fe72a79d67d383c2dbf2292634d6165d480ac71e8d26b2cb63240623781bd"
 
@@ -174,11 +176,6 @@ def _mask(weights):
     return out
 
 
-def _extension_reps(code, a):
-    """The blocks of _extension_blocks, concatenated."""
-    return np.concatenate(list(_extension_blocks(code, a)))
-
-
 def _unblocked_extension_reps(code, a):
     """Every extension coset rep at once, as the filter took them before it walked blocks."""
     n = code.n
@@ -220,12 +217,12 @@ def test_coset_filter_matches_chunked_oracle():
 def test_coset_filter_matches_oracle_on_extension_cosets():
     for cid, a in (("C_{16,6,1}", 2), ("C_{16,6,2}", 4), ("C_{8,5}", 2)):
         code = load_code(cid)
-        reps = _extension_reps(code, a)
+        reps = extension_reps(code, a)
         allowed = _mask((code.n // 2 - a, code.n // 2, code.n // 2 + a))
         expect = chunked_filter_oracle(code.words(), reps, allowed)
         assert expect.any() and not expect.all()
         assert np.array_equal(coset_filter(code.words(), reps, allowed), expect)
-    reps = _extension_reps(rm1(5), 8)
+    reps = extension_reps(rm1(5), 8)
     allowed = _mask((8, 16, 24))
     expect = chunked_filter_oracle(rm1(5).words(), reps, allowed)
     assert np.array_equal(coset_filter(rm1(5).words(), reps, allowed), expect)
@@ -277,7 +274,7 @@ def test_coset_filter_matches_one_word_oracle_on_a4_cosets():
         codes.append(sub)
     survivors = []
     for code in codes:
-        reps = _extension_reps(code, 4)
+        reps = extension_reps(code, 4)
         assert reps.size == (1 << 14) - 1
         survivors.append(_assert_sieve_matches_one_word_oracle(code.words(), reps, allowed).sum())
     assert survivors[:3] == [0, 0, 0] and all(survivors[3:])
@@ -288,7 +285,7 @@ def test_coset_filter_matches_one_word_oracle_on_a8_branch():
     seeds, sizes = [rm1_fixed(5)], []
     while seeds:
         for code in seeds:
-            reps = _extension_reps(code, 8)
+            reps = extension_reps(code, 8)
             sizes.append(reps.size)
             _assert_sieve_matches_one_word_oracle(code.words(), reps, allowed)
         seeds = [rec.code for rec in classify_step(seeds, 8).classes]
@@ -380,7 +377,7 @@ def test_valid_extension_vectors_match_unblocked_filter():
     sizes = []
     for code, a in ((rm1_fixed(5), 8), (rm1_fixed(5), 4), (sub, 4)):
         reps = _unblocked_extension_reps(code, a)
-        assert np.array_equal(_extension_reps(code, a), reps)
+        assert np.array_equal(extension_reps(code, a), reps)
         allowed = _mask((16 - a, 16, 16 + a))
         expect = sorted(reps[coset_filter(code.words(), reps, allowed)].tolist())
         assert valid_extension_vectors(code, a) == expect

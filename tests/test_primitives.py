@@ -16,8 +16,10 @@ import pytest
 from fourweight._bits import mask_to_01, reduce_mask, rref_masks, span_masks, unpack_bits
 from fourweight.catalog import all_ids, load_code
 from fourweight.conditions import require_certificate
-from fourweight.cover import _column_syndromes, _extension_blocks
+from fourweight.cover import _column_syndromes
 from fourweight.linear import LinearCode
+
+from conftest import extension_reps
 
 LENGTHS = (8, 16, 32, 64)
 
@@ -133,10 +135,6 @@ def test_column_syndromes_match_double_loop(catalog_codes):
         assert np.array_equal(cols, old_cols)
 
 
-def extension_candidates(code, a):
-    return np.concatenate(list(_extension_blocks(code, a)))
-
-
 def test_extension_candidates_match_both_old_branches(catalog_codes):
     # (n, k, a) with 2^(n-k) small enough to enumerate; a picks the branch:
     # doubly even weight sets scan the dual, the others all of F_2^n
@@ -147,7 +145,7 @@ def test_extension_candidates_match_both_old_branches(catalog_codes):
     for n, k, a in cases:
         code = _random_code(rng, n, k)
         branches.add(all(w % 4 == 0 for w in (n // 2 - a, n // 2, n // 2 + a)))
-        got = extension_candidates(code, a)
+        got = extension_reps(code, a)
         expect = old_extension_candidates(code, a)
         assert got.size == expect.size
         assert set(got.tolist()) == set(expect.tolist())
@@ -156,7 +154,7 @@ def test_extension_candidates_match_both_old_branches(catalog_codes):
         a = require_certificate(code).a
         # at length 32 the offset-2 branch would scan 2^21..2^23 cosets
         for offset in {a, 2} if code.n <= 16 else {a}:
-            got = extension_candidates(code, offset)
+            got = extension_reps(code, offset)
             assert set(got.tolist()) == set(old_extension_candidates(code, offset).tolist())
 
 
