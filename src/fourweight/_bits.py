@@ -5,6 +5,9 @@ support-set notation used in the published tables) and 0-indexed bit
 positions internally: coordinate j of a length-n vector lives at bit
 n - j, so the integer read MSB-first equals the displayed 0/1 string
 and integer comparison equals lexicographic comparison of strings.
+This is the one bit layout: unpack_bits spreads words into 0/1
+coordinates, pack_bits is its exact inverse, and every coordinate
+permutation (permute_bits) is an unpack, a gather and a pack.
 """
 
 from __future__ import annotations
@@ -103,3 +106,22 @@ def unpack_bits(words, n: int) -> np.ndarray:
     w = np.asarray(words, dtype=np.uint64)
     octets = w.astype(">u8").reshape(-1).view(np.uint8).reshape(w.shape + (8,))
     return np.ascontiguousarray(np.unpackbits(octets, axis=-1)[..., 64 - n :])
+
+
+def pack_bits(bits) -> np.ndarray:
+    """The words whose 0/1 coordinates are the last axis of bits, coordinate 1 first.
+
+    The exact inverse of unpack_bits: the coordinates are packed into
+    big-endian bytes, padded to 8 and read as one word shifted into place.
+    """
+    b = np.asarray(bits, dtype=np.uint8)
+    n = b.shape[-1]
+    octets = np.packbits(b, axis=-1)
+    padded = np.zeros(b.shape[:-1] + (8,), dtype=np.uint8)
+    padded[..., : octets.shape[-1]] = octets
+    return padded.view(">u8")[..., 0] >> np.uint64(64 - n)
+
+
+def permute_bits(words, order, n: int) -> np.ndarray:
+    """The n-bit words whose coordinate t + 1 is the input's coordinate order[t] + 1."""
+    return pack_bits(np.take(unpack_bits(words, n), order, axis=-1))

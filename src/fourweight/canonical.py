@@ -20,15 +20,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from fourweight._bits import unpack_bits
+from fourweight._bits import pack_bits, permute_bits, unpack_bits
 from fourweight.errors import CapacityError, InputError
 from fourweight.linear import LinearCode
 
 LENGTH_GUARD = 32
 DIM_GUARD = 20
-
-#: Leaf keys are packed 2^14 codewords at a time (one block for k <= 14).
-LEAF_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -50,26 +47,15 @@ def permute_columns(code: LinearCode, order) -> LinearCode:
     order = list(order)
     if sorted(order) != list(range(n)):
         raise InputError("not a permutation of the coordinates")
-    rows = []
-    for r in code.row_masks:
-        new = 0
-        for t, j in enumerate(order):
-            if (r >> (n - 1 - j)) & 1:
-                new |= 1 << (n - 1 - t)
-        rows.append(new)
-    return LinearCode(n, rows)
+    return LinearCode(n, permute_bits(code.row_masks, order, n).tolist())
 
 
 def apply_permutation(code: LinearCode, sigma) -> LinearCode:
     """The image of the code under coordinate map j -> sigma[j] (0-indexed)."""
-    n = code.n
     sigma = list(sigma)
-    if sorted(sigma) != list(range(n)):
+    if sorted(sigma) != list(range(code.n)):
         raise InputError("not a permutation of the coordinates")
-    order = [0] * n
-    for j, t in enumerate(sigma):
-        order[t] = j
-    return permute_columns(code, order)
+    return permute_columns(code, np.argsort(sigma))
 
 
 def _mix_constants(length: int) -> np.ndarray:
@@ -124,7 +110,6 @@ class _Search:
         self.n = n
         self.bits = unpack_bits(words, n)
         self.weights = np.bitwise_count(words).astype(np.int64)
-        self.pow2 = np.uint64(1) << np.arange(n - 1, -1, -1, dtype=np.uint64)
         # Refinement scans only the lightest weight classes (enough columns
         # to discriminate); the leaf key still covers every codeword.
         classes = sorted(set(self.weights[self.weights > 0].tolist()))
@@ -197,12 +182,7 @@ class _Search:
 
     def _leaf_key(self, colors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         perm = np.argsort(colors)
-        # packed in row blocks, so the uint64 temporaries hold at most
-        # LEAF_BLOCK x n entries whatever the dimension
-        packed = np.empty(len(self.bits), dtype=np.uint64)
-        for lo in range(0, packed.size, LEAF_BLOCK):
-            block = self.bits[lo : lo + LEAF_BLOCK, perm].astype(np.uint64)
-            np.sum(block * self.pow2, axis=1, dtype=np.uint64, out=packed[lo : lo + LEAF_BLOCK])
+        packed = pack_bits(np.take(self.bits, perm, axis=1))
         packed.sort()
         return packed, perm
 

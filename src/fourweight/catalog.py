@@ -100,7 +100,7 @@ def _build_n8(k: int) -> LinearCode:
     code = reference_rm(3)
     for _ in range(k - 4):
         xs = valid_extension_vectors(code, 2)
-        code = code.extend(xs[0])
+        code = code.extend(int(xs[0]))
     return code
 
 
@@ -191,7 +191,7 @@ def derive_tenth_generators(progress=None) -> dict[str, list[int]]:
         # orbit minima and the dedupe keeps the first of ascending candidates
         classes: dict[bytes, tuple[int, ...]] = {}
         for rec in _layer([(base, ())], a)[0]:
-            if not valid_extension_vectors(rec.code, a):  # maximal
+            if not valid_extension_vectors(rec.code, a).size:  # maximal
                 classes[rec.key] = rec.provenance[-1]
                 class_d.setdefault(rec.key, rec.min_weight)
         if len(classes) < len(members):
@@ -380,7 +380,7 @@ def _verify_scope_8(report: VerificationReport, threads: int) -> None:
             code.weight_distribution().nonzero_weights() == (0, 2, 4, 6, 8),
         )
         _verify_quwm(report, cid, code)
-        report.covering_radius[cid] = leader_profile(code).radius
+    report.covering_radius.update(_radii(list(codes), threads))
 
 
 def _verify_scope_16(report: VerificationReport, threads: int) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fourweight._bits import mask_to_support, reduce_mask
+from fourweight._bits import mask_to_support, permute_bits, reduce_mask
 from fourweight.canonical import automorphism_generators, canonical_form
 from fourweight.conditions import _log2_exact, admissible_offsets, check_conditions, reference_rm
 from fourweight.cover import leader_profile, valid_extension_vectors
@@ -65,33 +65,24 @@ class ClassificationReport:
         }
 
 
-def _apply_perm_masks(xs: np.ndarray, sigma, n: int) -> np.ndarray:
-    out = np.zeros_like(xs)
-    one = np.uint64(1)
-    for j in range(n):
-        bit = (xs >> np.uint64(n - 1 - j)) & one
-        out |= bit << np.uint64(n - 1 - sigma[j])
-    return out
-
-
-def _orbit_reduce(parent: LinearCode, xs: list[int]) -> list[int]:
+def _orbit_reduce(parent: LinearCode, xs: np.ndarray) -> np.ndarray:
     """Keep one coset rep per orbit under the parent's discovered automorphisms.
 
-    Orbit-equivalent cosets yield equivalent extensions, so dropping them
-    cannot lose a class; canonical-key reduction still follows.
+    xs is a sorted uint64 array.  Orbit-equivalent cosets yield equivalent
+    extensions, so dropping them cannot lose a class; canonical-key
+    reduction still follows.
     """
     gens = automorphism_generators(parent)
-    if not gens or len(xs) <= 1:
+    if not gens or xs.size <= 1:
         return xs
-    arr = np.array(xs, dtype=np.uint64)
     maps = []
     for g in gens:
-        y = reduce_mask(_apply_perm_masks(arr, g, parent.n), parent.row_masks)
-        idx = np.searchsorted(arr, y)
-        if (idx >= arr.size).any() or not np.array_equal(arr[np.minimum(idx, arr.size - 1)], y):
+        y = reduce_mask(permute_bits(xs, np.argsort(g), parent.n), parent.row_masks)
+        idx = np.searchsorted(xs, y)
+        if (idx >= xs.size).any() or not np.array_equal(xs[np.minimum(idx, xs.size - 1)], y):
             raise AssertionError("automorphism left the valid-coset set")
         maps.append(idx)
-    labels = np.arange(arr.size)
+    labels = np.arange(xs.size)
     while True:
         prev = labels.copy()
         for idx in maps:
@@ -101,8 +92,7 @@ def _orbit_reduce(parent: LinearCode, xs: list[int]) -> list[int]:
         labels = labels[labels]
         if np.array_equal(labels, prev):
             break
-    keep = np.flatnonzero(labels == np.arange(arr.size))
-    return [int(arr[i]) for i in keep]
+    return xs[labels == np.arange(xs.size)]
 
 
 def _dedupe(candidates: list[tuple[LinearCode, tuple]], a: int) -> list[ClassRecord]:
@@ -135,7 +125,7 @@ def _layer(parents: list[tuple[LinearCode, tuple]], a: int) -> tuple[list[ClassR
     candidates = []
     maximal = []
     for code, prov in parents:
-        xs = _orbit_reduce(code, valid_extension_vectors(code, a))
+        xs = _orbit_reduce(code, valid_extension_vectors(code, a)).tolist()
         maximal.append(not xs)
         candidates += [(code.extend(x), prov + (mask_to_support(code.n, x),)) for x in xs]
     return _dedupe(candidates, a), maximal

@@ -38,10 +38,6 @@ def _emit(payload: dict, args, text_lines=None) -> None:
             print(line)
 
 
-def _load(path: str) -> LinearCode:
-    return LinearCode.from_file(path)
-
-
 @contextmanager
 def _writing(path):
     """Yield path as a Path; an OSError while writing there is bad input (exit 2)."""
@@ -58,7 +54,7 @@ def cmd_rm(args) -> int:
 
 
 def cmd_check(args) -> int:
-    code = _load(args.code)
+    code = LinearCode.from_file(args.code)
     result = check_conditions(code)
     payload = {
         "conditions": {"c1": result.weight_condition, "c2": result.subcode_condition},
@@ -77,7 +73,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_wdist(args) -> int:
-    code = _load(args.code)
+    code = LinearCode.from_file(args.code)
     dist = code.weight_distribution()
     _emit(
         {"n": code.n, "k": code.k, "distribution": dist.as_dict()},
@@ -88,7 +84,7 @@ def cmd_wdist(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    c1, c2 = _load(args.code_a), _load(args.code_b)
+    c1, c2 = LinearCode.from_file(args.code_a), LinearCode.from_file(args.code_b)
     witness = equivalence_witness(c1, c2) if (c1.n, c1.k) == (c2.n, c2.k) else None
     equivalent = witness is not None or are_equivalent(c1, c2)
     payload = {
@@ -100,7 +96,7 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_covrad(args) -> int:
-    profile = CosetLeaderProfile.with_table(_load(args.code))
+    profile = CosetLeaderProfile.with_table(LinearCode.from_file(args.code))
     histogram = profile.histogram()
     payload = {
         "radius": profile.radius,
@@ -111,7 +107,7 @@ def cmd_covrad(args) -> int:
 
 
 def cmd_maximal(args) -> int:
-    code = _load(args.code)
+    code = LinearCode.from_file(args.code)
     result = check_conditions(code)
     if not result.ok:
         raise InputError("code does not satisfy the conditions: " + "; ".join(result.violations))
@@ -126,7 +122,7 @@ def cmd_maximal(args) -> int:
 
 
 def cmd_quwm(args) -> int:
-    code = _load(args.code)
+    code = LinearCode.from_file(args.code)
     rng = random.Random(args.seed) if args.randomized else None
     qs = build_quwm_set(code, rng=rng, source=args.code)
     ver = qs.verify()

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from fourweight._bits import SPAN_GUARD, complement_basis, span_masks, unpack_bits
+from fourweight._bits import SPAN_GUARD, complement_basis, pack_bits, span_masks, unpack_bits
 from fourweight.conditions import FourWeightCertificate, require_certificate
 from fourweight.errors import CapacityError
 from fourweight.linear import LinearCode, full_space
@@ -51,10 +51,8 @@ LEADER_TILE = 1 << 20
 def _column_syndromes(code: LinearCode) -> tuple[np.ndarray, int]:
     """Syndrome of each unit vector, as ints over the dual-basis parity rows."""
     dual_rows = code.dual().row_masks
-    r = len(dual_rows)
-    bits = unpack_bits(dual_rows, code.n).astype(np.uint64)  # (r, n): row i has bit i
-    cols = (bits << np.arange(r, dtype=np.uint64)[:, None]).sum(axis=0, dtype=np.uint64)
-    return cols, r
+    # column j's coordinates over the rows, last row first, so row i lands on bit i
+    return pack_bits(unpack_bits(dual_rows, code.n).T[:, ::-1]), len(dual_rows)
 
 
 def _free_columns(cols: np.ndarray, r: int) -> list[int]:
@@ -333,8 +331,8 @@ def _extension_blocks(code: LinearCode, a: int):
         yield base ^ h
 
 
-def valid_extension_vectors(code: LinearCode, a: int) -> list[int]:
-    """All coset reps x (sorted) with every weight of x + code in {n/2-a, n/2, n/2+a}.
+def valid_extension_vectors(code: LinearCode, a: int) -> np.ndarray:
+    """All coset reps x with every weight of x + code in {n/2-a, n/2, n/2+a}, a sorted uint64 array.
 
     The reps are filtered one block of REP_BLOCK at a time, so the sweep
     holds a block and its sieve temporaries besides the survivors.
@@ -344,10 +342,8 @@ def valid_extension_vectors(code: LinearCode, a: int) -> list[int]:
     for w in (n // 2 - a, n // 2, n // 2 + a):
         allowed_mask |= 1 << w
     words = code.words()
-    found: list[int] = []
-    for reps in _extension_blocks(code, a):
-        found += reps[coset_filter(words, reps, allowed_mask)].tolist()
-    return sorted(found)
+    blocks = [reps[coset_filter(words, reps, allowed_mask)] for reps in _extension_blocks(code, a)]
+    return np.sort(np.concatenate(blocks))
 
 
 def is_maximal(
@@ -369,8 +365,8 @@ def is_maximal(
     if radius is not None and radius < bound:
         return MaximalityResult(maximal=True, path="fast", witness=None, radius=radius)
     xs = valid_extension_vectors(code, cert.a)
-    if not xs:
+    if not xs.size:
         return MaximalityResult(maximal=True, path="slow", witness=None, radius=radius)
     return MaximalityResult(
-        maximal=False, path="slow", witness=code.extend(xs[0]), radius=radius
+        maximal=False, path="slow", witness=code.extend(int(xs[0])), radius=radius
     )

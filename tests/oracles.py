@@ -1,15 +1,26 @@
 """Independent brute-force oracles that the test suite checks the program against.
 
 They share no machinery with the kernels they certify: the covering
-radius is a scan of all 2^n vectors, and isomorphism a backtracking
-column assignment.
+radius is a scan of all 2^n vectors, isomorphism a backtracking column
+assignment, and a coordinate permutation moves one bit at a time.
 """
 
 import numpy as np
 
-from fourweight.canonical import apply_permutation
 from fourweight.errors import CapacityError
 from fourweight.linear import LinearCode
+
+
+def permute_words_reference(words, order, n: int) -> list[int]:
+    """Reference permutation of n-bit words: position t takes coordinate order[t], bit by bit."""
+    out = []
+    for r in words:
+        new = 0
+        for t, j in enumerate(order):
+            if (r >> (n - 1 - j)) & 1:
+                new |= 1 << (n - 1 - t)
+        out.append(new)
+    return out
 
 
 def covering_radius_bruteforce(code: LinearCode) -> int:
@@ -95,7 +106,9 @@ def find_isomorphism_bruteforce(c1: LinearCode, c2: LinearCode):
     if sol is None:
         return None
     sigma = [0] * n
+    inverse = [0] * n
     for t in range(n):
         sigma[order[t]] = sol[t]
-    assert apply_permutation(c1, sigma) == c2
+        inverse[sol[t]] = order[t]
+    assert LinearCode(n, permute_words_reference(c1.row_masks, inverse, n)) == c2
     return tuple(sigma)

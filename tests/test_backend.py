@@ -380,7 +380,10 @@ def test_valid_extension_vectors_match_unblocked_filter():
         assert np.array_equal(extension_reps(code, a), reps)
         allowed = _mask((16 - a, 16, 16 + a))
         expect = sorted(reps[coset_filter(code.words(), reps, allowed)].tolist())
-        assert valid_extension_vectors(code, a) == expect
+        got = valid_extension_vectors(code, a)
+        assert isinstance(got, np.ndarray) and got.dtype == np.uint64
+        assert np.all(got[1:] > got[:-1])  # sorted, each rep once
+        assert got.tolist() == expect
         sizes.append((reps.size, len(expect)))
     assert sizes[0][0] == sizes[1][0] == (1 << 20) - 1
     assert len(list(_extension_blocks(rm1_fixed(5), 8))) == (1 << 20) // REP_BLOCK
@@ -388,11 +391,15 @@ def test_valid_extension_vectors_match_unblocked_filter():
 
 
 def test_valid_extension_vectors_peak_memory_within_4_mib():
-    # the parent held all 2^20 reps, their index and an XOR temporary (25 MiB traced)
+    # holding all 2^20 reps, their index and an XOR temporary took 25 MiB traced
     code = rm1_fixed(5)
     code.words()
     peak = _traced_peak(valid_extension_vectors, code, 8)
     assert peak <= 4 << 20, peak
+    # a = 4 keeps 219,604 survivors (1.7 MiB as uint64); gathering them as a
+    # Python list, then sorting and converting, took 10.65 MiB traced
+    peak = _traced_peak(valid_extension_vectors, code, 4)
+    assert peak <= 6 << 20, peak
 
 
 def test_leader_weights_peak_memory_within_table_and_three_tiles():

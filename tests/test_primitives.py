@@ -2,10 +2,10 @@
 
 The oracles below are the earlier bodies of span reduction, the coset
 transversals, the weight enumeration, the syndrome columns and the bit
-unpacking, kept
-verbatim so that the shared primitives in ``fourweight._bits`` are
-checked against independent code on seeded random codes and on every
-catalog code.
+unpacking, kept verbatim so that the shared primitives in
+``fourweight._bits`` are checked against independent code on seeded
+random codes and on every catalog code.  Bit permutations are checked
+against the bit-by-bit reference in ``oracles``.
 """
 
 import random
@@ -13,13 +13,22 @@ import random
 import numpy as np
 import pytest
 
-from fourweight._bits import mask_to_01, reduce_mask, rref_masks, span_masks, unpack_bits
+from fourweight._bits import (
+    mask_to_01,
+    pack_bits,
+    permute_bits,
+    reduce_mask,
+    rref_masks,
+    span_masks,
+    unpack_bits,
+)
 from fourweight.catalog import all_ids, load_code
 from fourweight.conditions import require_certificate
 from fourweight.cover import _column_syndromes
-from fourweight.linear import LinearCode
+from fourweight.linear import LinearCode, full_space
 
 from conftest import extension_reps
+from oracles import permute_words_reference
 
 LENGTHS = (8, 16, 32, 64)
 
@@ -55,6 +64,14 @@ def old_column_syndromes(code):
         for j in range(n):
             if (row >> (n - 1 - j)) & 1:
                 cols[j] |= np.uint64(1 << i)
+    return cols, r
+
+
+def old_shift_sum_column_syndromes(code):
+    dual_rows = code.dual().row_masks
+    r = len(dual_rows)
+    bits = unpack_bits(dual_rows, code.n).astype(np.uint64)  # (r, n): row i has bit i
+    cols = (bits << np.arange(r, dtype=np.uint64)[:, None]).sum(axis=0, dtype=np.uint64)
     return cols, r
 
 
@@ -128,11 +145,13 @@ def test_reduce_mask_array_matches_old_and_keeps_input(catalog_codes):
 
 def test_column_syndromes_match_double_loop(catalog_codes):
     codes = _random_codes(5, lambda n: (0, 1, n // 4, n // 2, n - 1, n)) + catalog_codes
+    codes += [full_space(n) for n in (1, 8, 64)]  # r = 0
     for code in codes:
         cols, r = _column_syndromes(code)
         old_cols, old_r = old_column_syndromes(code)
-        assert r == old_r and cols.dtype == np.uint64
+        assert r == old_r and cols.dtype == np.uint64 and cols.shape == (code.n,)
         assert np.array_equal(cols, old_cols)
+        assert np.array_equal(cols, old_shift_sum_column_syndromes(code)[0])
 
 
 def test_extension_candidates_match_both_old_branches(catalog_codes):
@@ -180,14 +199,42 @@ def test_unpack_bits_reads_coordinate_one_first():
         assert unpack_bits(np.zeros((0,), dtype=np.uint64), n).shape == (0, n)
 
 
+def _random_words(rng, size, n):
+    words = rng.integers(0, 1 << 63, size=size, dtype=np.uint64, endpoint=True)
+    return words & np.uint64((1 << n) - 1) if n < 64 else words
+
+
 def test_unpack_bits_matches_old_shifts():
     rng = np.random.default_rng(9)
     for n in (1, 7) + LENGTHS:
         for shape in ((), (0,), (13,), (4, 5), (2, 3, 6)):
-            words = rng.integers(0, 1 << 63, size=shape, dtype=np.uint64, endpoint=True)
-            words = words & np.uint64((1 << n) - 1) if n < 64 else words
+            words = _random_words(rng, shape, n)
             got = unpack_bits(words, n)
             assert got.flags.c_contiguous
             assert got.dtype == np.uint8 and got.shape == shape + (n,)
             assert np.array_equal(got, old_unpack_bits(words, n))
     assert np.array_equal(unpack_bits((1 << 64) - 1, 64), old_unpack_bits((1 << 64) - 1, 64))
+
+
+def test_pack_bits_inverts_unpack_bits():
+    rng = np.random.default_rng(12)
+    for n in (0, 1, 7) + LENGTHS:
+        for shape in ((), (0,), (13,), (4, 5), (2, 3, 6)):
+            words = _random_words(rng, shape, n)
+            got = pack_bits(unpack_bits(words, n))
+            assert got.dtype == np.uint64 and got.shape == shape
+            assert np.array_equal(got, words)
+    assert int(pack_bits(unpack_bits((1 << 64) - 1, 64))) == (1 << 64) - 1
+
+
+def test_permute_bits_matches_reference():
+    rng = np.random.default_rng(13)
+    order_rng = random.Random(13)
+    for n in (1, 7, 8, 31, 32, 63, 64):
+        for size in (0, 1, 11, 50_000):
+            words = _random_words(rng, size, n)
+            order = list(range(n))
+            order_rng.shuffle(order)
+            got = permute_bits(words, order, n)
+            assert got.dtype == np.uint64 and got.shape == (size,)
+            assert got.tolist() == permute_words_reference(words.tolist(), order, n)
