@@ -67,7 +67,10 @@ def rref_masks(rows: Iterable[int], n: int) -> tuple[int, ...]:
 
 
 def reduce_mask(x, basis: Sequence[int]):
-    """Residual of x after elimination against an RREF basis (0 iff in span).
+    """Residual of x after elimination against a basis (0 iff in span).
+
+    Each basis row must be zero on the leading bits of the rows before it,
+    as in an RREF basis.
 
     x is an int or a uint64 array, reduced elementwise; the input is not
     modified.

@@ -2,9 +2,9 @@
 
 The canonical form is computed by individualization-refinement over
 column partitions: columns are iteratively colored by their incidence
-pattern with codeword weight classes, a target cell is branched on, and
-the minimum (node-invariant trace, sorted permuted codeword list) over
-the explored tree defines the canonical coordinate order.  Discovered
+pattern with the lightest codewords, a target cell is branched on, and
+the minimum (node-invariant trace, RREF of the permuted basis) over the
+explored tree defines the canonical coordinate order.  Discovered
 automorphisms prune sibling branches, a leaf that reveals one backjumps
 to the depth where its path leaves the best leaf's, and subtrees whose
 invariant trace already exceeds the best leaf are cut.  Equal keys hold
@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from fourweight._bits import pack_bits, permute_bits, unpack_bits
+from fourweight._bits import permute_bits, reduce_mask, rref_masks, unpack_bits
 from fourweight.errors import CapacityError, InputError
 from fourweight.linear import LinearCode
 
@@ -79,18 +79,31 @@ def _mix(length: int) -> np.ndarray:
     return _MIX[:length]
 
 
-def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.unique(a, axis=0, return_inverse=True) for a 2-D array, without its overhead.
+def _splitmix(x: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer, elementwise: a fixed nonlinear scramble of uint64 values."""
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
 
-    Rows are ranked lexicographically, column 0 first, as np.unique does.
+
+def _pair_counts(words: np.ndarray, n: int) -> list[np.ndarray]:
+    """Column co-occurrence counts within each of the two lightest nonzero weight classes.
+
+    Exact in float64 (BLAS; numpy has none for int64): entries are at most 2^DIM_GUARD < 2^53.
     """
-    order = np.lexsort(a.T[::-1])
-    rows = a[order]
-    first = np.ones(len(a), dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    inverse = np.empty(len(a), dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return rows[first], inverse
+    weights = np.bitwise_count(words)
+    out = []
+    for w in np.flatnonzero(np.bincount(weights))[1:3]:  # weight 0 is the zero word's
+        block = unpack_bits(words[weights == w], n).astype(np.float64)
+        out.append((block.T @ block).astype(np.int64))
+    return out
+
+
+def _individualize(colors: np.ndarray, c: int) -> np.ndarray:
+    """Column c alone in a new cell just before the rest of its cell; colors stay dense."""
+    child = colors + (colors >= colors[c])
+    child[c] -= 1
+    return child
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -107,30 +120,30 @@ class _Search:
     def __init__(self, code: LinearCode):
         n = code.n
         words = code.words()
+        weights = np.bitwise_count(words)
         self.n = n
-        self.bits = unpack_bits(words, n)
-        self.weights = np.bitwise_count(words).astype(np.int64)
-        # Refinement scans only the lightest weight classes (enough columns
-        # to discriminate); the leaf key still covers every codeword.
-        classes = sorted(set(self.weights[self.weights > 0].tolist()))
+        self.rows = np.array(code.row_masks, dtype=np.uint64)
+        # Refinement reads the lightest weight classes until they hold n words
+        # and span the code: a spanning union of weight classes has exactly the
+        # code's automorphisms, a subcode maybe many more for the search to walk.
         take = np.zeros(len(words), dtype=bool)
-        for w in classes:
-            take |= self.weights == w
-            if int(take.sum()) >= n:
+        basis: list[int] = []
+        for w in np.flatnonzero(np.bincount(weights))[1:]:
+            take |= weights == w
+            rest = reduce_mask(words[weights == w], basis)
+            while len(basis) < code.k and (rest := rest[rest != 0]).size:
+                basis.append(int(rest[0]))
+                rest = reduce_mask(rest, basis[-1:])
+            if len(basis) == code.k and int(take.sum()) >= n:
                 break
-        self.rbits = self.bits[take].astype(np.uint64)
+        self.rbits = unpack_bits(words[take], n).astype(np.uint64)
         self.rbits_t = np.ascontiguousarray(self.rbits.T)
-        self.rweights = self.weights[take].astype(np.uint64)
-        # Column co-occurrence within the two lightest nonzero weight
-        # classes; pair counts crack the near-uniform incidence that
-        # weight classes alone leave unrefined.  The product runs in float64
-        # (BLAS; numpy has no BLAS path for int64) and is exact: each entry
-        # counts words of one weight class, at most 2^k <= 2^DIM_GUARD < 2^53.
-        self.pair: list[np.ndarray] = []
-        for w in classes[:2]:
-            block = self.bits[self.weights == w].astype(np.float64)
-            self.pair.append((block.T @ block).astype(np.int64))
-        self.best_key: np.ndarray | None = None
+        # Pair counts crack the near-uniform incidence that weight classes
+        # leave unrefined; scrambled, pair @ mix[colors] hashes the multiset
+        # of (color, both counts) over the columns j' of column j.
+        counts = _pair_counts(words, n) + [np.zeros((n, n), dtype=np.int64)] * 2
+        self.pair = _splitmix(((counts[0] << 32) | counts[1]).astype(np.uint64))
+        self.best_key: tuple[int, ...] | None = None
         self.best_trace: list[tuple] = []
         self.best_perm: np.ndarray | None = None
         self.best_path: list[int] = []
@@ -140,51 +153,38 @@ class _Search:
     # -- partition machinery -------------------------------------------------
 
     def refine(self, colors: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """Stable column coloring plus a canonical node invariant.
+        """Stable dense column coloring plus a canonical node invariant.
 
-        Word colors come from (weight, per-cell incidence counts), columns
-        from (previous color, per-word-color incidence, pair signatures).
-        Signatures are folded into uint64 hashes with fixed multipliers:
-        the rank order of hash values is column-id-free, so cell ids stay
-        canonical, and a collision can only under-split (never corrupts).
-        An incidence-count hash sum_c count[c] * mix[c] is one matrix-vector
-        product, bits @ mix[color]: uint64 arithmetic wraps mod 2^64, a
-        ring, so regrouping the sum leaves every bit of the hash unchanged.
+        A pass hashes each word to sum_c count[c] * mix[c] over its columns'
+        colors c, then ranks the columns by (color, a hash of their words'
+        scrambled hashes and of their pair counts): two uint64 matrix-vector
+        products and one sort.  Hashes are column-id-free, so cell ids stay
+        canonical; the old color leads, so cells split in place; a collision
+        can only under-split.  Input colors are dense, so a pass that keeps
+        the cell count is stable.
         """
-        rbits = self.rbits
-        n = self.n
         ncol = int(colors.max()) + 1
         while True:
-            # A column individualized out of cell 0 has color -1 until this
-            # pass renumbers it: it hashes with the last cell's multiplier
-            # (an under-split only); its signature still keeps color -1.
-            mix = _mix(ncol + 1)
-            whash = rbits @ mix[:ncol][colors] + self.rweights * mix[ncol]
-            wvals, wcolor = np.unique(whash, return_inverse=True)
-            chash = self.rbits_t @ _mix(len(wvals))[wcolor]
-            # pair signature of column j: sorted multiset of (color, co-count)
-            # pairs, encoded as color*K + count so one row sort suffices
-            csig = np.empty((n, 2 + len(self.pair)), dtype=np.uint64)
-            csig[:, 0] = colors.astype(np.uint64)
-            csig[:, 1] = chash
-            for t, mat in enumerate(self.pair):
-                combined = colors[None, :] * (int(mat.max()) + 1) + mat
-                csig[:, 2 + t] = np.sort(combined, axis=1).astype(np.uint64) @ _mix(n)
-            cuniq, new_colors = _unique_rows(csig)
-            if len(cuniq) == ncol and np.array_equal(new_colors, colors):
+            m = _mix(self.n)[colors]
+            whash = self.rbits @ m
+            h = self.rbits_t @ _splitmix(whash) + self.pair @ m
+            key = (colors.astype(np.uint64) << np.uint64(58)) | (h >> np.uint64(6))
+            order = np.argsort(key)
+            ordered = key[order]
+            step = ordered[1:] != ordered[:-1]
+            cells = int(np.count_nonzero(step)) + 1
+            if cells == ncol:
                 sizes = np.bincount(colors, minlength=ncol)
-                digest = hashlib.blake2b(
-                    wvals.tobytes() + cuniq.tobytes(), digest_size=8
-                ).digest()
+                digest = hashlib.blake2b(ordered.tobytes(), digest_size=8).digest()
                 return colors, (ncol, sizes.tobytes(), digest)
-            colors = new_colors
-            ncol = len(cuniq)
+            colors = np.zeros_like(colors)
+            colors[order[1:]] = np.cumsum(step)
+            ncol = cells
 
-    def _leaf_key(self, colors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _leaf_key(self, colors: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+        """The RREF of the basis permuted by a discrete coloring, and the permutation."""
         perm = np.argsort(colors)
-        packed = pack_bits(np.take(self.bits, perm, axis=1))
-        packed.sort()
-        return packed, perm
+        return rref_masks(permute_bits(self.rows, perm, self.n).tolist(), self.n), perm
 
     def _fold_orbits(self, parent: list[int], seen: int, path: list[int]) -> int:
         """Union into `parent` the generators from index `seen` on that fix `path`.
@@ -246,7 +246,7 @@ class _Search:
                 self.best_key, self.best_perm = key, perm
                 self.best_trace, self.best_path = list(trace), list(path)
                 return None
-            if np.array_equal(key, self.best_key):
+            if key == self.best_key:
                 g = np.empty(self.n, dtype=np.int64)
                 g[self.best_perm] = perm
                 g_t = tuple(int(x) for x in g)
@@ -257,8 +257,7 @@ class _Search:
                 diverge = [i for i in range(common) if path[i] != self.best_path[i]]
                 assert diverge, "two leaves share a path"
                 return diverge[0]
-            idx = int(np.flatnonzero(key != self.best_key)[0])
-            if key[idx] < self.best_key[idx]:
+            if key < self.best_key:
                 self.best_key, self.best_perm = key, perm
                 self.best_trace, self.best_path = list(trace), list(path)
             return None
@@ -276,9 +275,7 @@ class _Search:
                 if any(_find(parent, t) == root for t in tried):
                     continue
             tried.append(c)
-            child = colors * 2
-            child[c] -= 1
-            child, child_inv = self.refine(child)
+            child, child_inv = self.refine(_individualize(colors, c))
             path.append(c)
             trace.append(child_inv)
             jump = self._node(child, child_inv, trace, path, better)
@@ -313,13 +310,11 @@ def _canonicalize(code: LinearCode) -> _CanonResult:
         raise CapacityError(f"canonical form guarded to k <= {DIM_GUARD}")
     search = _Search(code)
     search.run()
-    witness = tuple(int(j) for j in search.best_perm)
-    canon = permute_columns(code, witness)
     key = (f"{code.n},{code.k}|").encode() + b"|".join(
-        format(r, f"0{code.n}b").encode() for r in canon.row_masks
+        format(r, f"0{code.n}b").encode() for r in search.best_key
     )
     return _CanonResult(
-        form=CanonicalForm(key=key, witness=witness),
+        form=CanonicalForm(key=key, witness=tuple(int(j) for j in search.best_perm)),
         gens=tuple(search.gens),
     )
 
@@ -362,4 +357,3 @@ def equivalence_witness(c1: LinearCode, c2: LinearCode):
         sigma[w1[t]] = w2[t]
     assert apply_permutation(c1, sigma) == c2
     return tuple(sigma)
-

@@ -7,8 +7,8 @@ the table.  The [32,10] table pins only three generators per code, so the
 fourth is derived once by exhaustive search over the dual (see
 :func:`derive_tenth_generators`) and frozen into ``data/derived.json``;
 within a group of codes sharing the same listed generators, indices are
-assigned in canonical-key order.  That file also records computed
-covering radii that the tables do not state.
+assigned in the order of each class's least realizing vector.  That file
+also records computed covering radii that the tables do not state.
 """
 
 from __future__ import annotations
@@ -171,8 +171,8 @@ def derive_tenth_generators(progress=None) -> dict[str, list[int]]:
     records one chain per code.  Globally the classes must number exactly
     102 (101 of minimum weight 12, one of 8); table codes are matched to
     classes of their own group by a deterministic bipartite matching in
-    (code index, canonical key) order, and the least extension vector
-    realizing the matched class is recorded per code.
+    (code index, least realizing vector) order, which no key order sways,
+    and the vector realizing the matched class is recorded per code.
     """
     tables = _tables()
     family = tables["codes"]["32,10"]
@@ -214,7 +214,8 @@ def derive_tenth_generators(progress=None) -> dict[str, list[int]]:
     code_group = {cid: tuple(entry["generators"]) for cid, entry in family.items()}
 
     def try_assign(cid: str, seen: set[bytes]) -> bool:
-        for key in sorted(group_classes[code_group[cid]]):
+        classes = group_classes[code_group[cid]]
+        for key in sorted(classes, key=classes.__getitem__):
             if key in seen:
                 continue
             seen.add(key)

@@ -10,9 +10,10 @@ from fourweight.canonical import (
     _Search,
     _canonicalize,
     _find,
+    _individualize,
     _mix,
     _mix_constants,
-    _unique_rows,
+    _pair_counts,
     apply_permutation,
     are_equivalent,
     automorphism_generators,
@@ -21,6 +22,7 @@ from fourweight.canonical import (
     permute_columns,
 )
 from fourweight import classify
+from fourweight._bits import pack_bits, rref_masks, unpack_bits
 from fourweight.catalog import all_ids, load_code
 from fourweight.classify import _orbit_reduce, classify_all, classify_step
 from fourweight.conditions import require_certificate
@@ -123,15 +125,15 @@ def test_pair_counts_match_int64_products():
         if code.k == 20:
             codes.append(code)
     for code in codes:
-        search = _Search(code)
-        classes = sorted(set(search.weights[search.weights > 0].tolist()))[:2]
-        want = []
-        for w in classes:
-            block = search.bits[search.weights == w].astype(np.int64)
-            want.append(block.T @ block)
-        assert len(search.pair) == len(want)
-        for got, exp in zip(search.pair, want):
-            assert got.dtype == np.int64 and np.array_equal(got, exp)
+        words = code.words()
+        bits = unpack_bits(words, code.n)
+        weights = bits.sum(axis=1)
+        classes = sorted(set(weights[weights > 0].tolist()))[:2]
+        want = [(b.T @ b) for b in (bits[weights == w].astype(np.int64) for w in classes)]
+        got = _pair_counts(words, code.n)
+        assert len(got) == len(want)
+        for g, exp in zip(got, want):
+            assert g.dtype == np.int64 and np.array_equal(g, exp)
 
 
 def test_length32_permuted_copy(rng):
@@ -143,19 +145,18 @@ def test_length32_permuted_copy(rng):
 
 
 def test_golden_keys_witnesses_and_generators():
-    # pins every key and witness on the 205 catalog codes; the [32,10] tenth
-    # generators in derived.json are matched in key order.  The generator
+    # pins every key and witness on the 205 catalog codes.  The generator
     # tuples depend on where the search backjumps, so instead of a digest
     # each one is checked to be an automorphism.
     ids = all_ids(8) + all_ids(16) + all_ids(32)
     keys = b"\n".join(canonical_form(load_code(c)).key for c in ids)
     assert hashlib.sha256(keys).hexdigest() == (
-        "5acecce6062ac51efcaa68e5afaf7a9d335f5b57ba57474337198259a688098e"
+        "b90a4f8c7966d38bf2d7308400e2a854bf16956b796f9978b9a63f5400e4311c"
     )
     results = [_canonicalize(load_code(c)) for c in ids]
     full = repr([(r.form.key, r.form.witness) for r in results]).encode()
     assert hashlib.sha256(full).hexdigest() == (
-        "7dbe01003f048606ef9e70493a7b96da95a02fa29f49f5f053fed6b5caf91919"
+        "0df9bdc43256e17a5390c8e3e7a0db26ea1ade5dbf0e77787432eab3c279a187"
     )
     for cid, r in zip(ids, results):
         code = load_code(cid)
@@ -183,15 +184,14 @@ class NoJumpSearch(_Search):
                 self.best_key, self.best_perm = key, perm
                 self.best_trace = list(trace)
                 return
-            if np.array_equal(key, self.best_key):
+            if key == self.best_key:
                 g = np.empty(self.n, dtype=np.int64)
                 g[self.best_perm] = perm
                 g_t = tuple(int(x) for x in g)
                 if g_t not in self.gens and any(g[i] != i for i in range(self.n)):
                     self.gens.append(g_t)
                 return
-            idx = int(np.flatnonzero(key != self.best_key)[0])
-            if key[idx] < self.best_key[idx]:
+            if key < self.best_key:
                 self.best_key, self.best_perm = key, perm
                 self.best_trace = list(trace)
             return
@@ -209,9 +209,7 @@ class NoJumpSearch(_Search):
                 if any(_find(parent, t) == root for t in tried):
                     continue
             tried.append(c)
-            child = colors * 2
-            child[c] -= 1
-            child, child_inv = self.refine(child)
+            child, child_inv = self.refine(_individualize(colors, c))
             path.append(c)
             trace.append(child_inv)
             self._node(child, child_inv, trace, path, better)
@@ -234,7 +232,7 @@ def _searched(cls, code):
 def test_backjump_visits_fewer_nodes():
     # the counts are pinned as well: a search that resumes below the
     # diverging node still beats the oracle, but visits more nodes
-    for cid, pinned in (("C_{32,9,92}", (106, 250)), ("C_{32,10,102}", (119, 392))):
+    for cid, pinned in (("C_{32,9,92}", (102, 256)), ("C_{32,10,102}", (114, 354))):
         code = load_code(cid)
         jump, nojump = _searched(_Search, code), _searched(NoJumpSearch, code)
         assert jump.nodes < nojump.nodes
@@ -247,7 +245,7 @@ def test_backjump_keeps_keys_and_witnesses(rng, n16_codes):
         for _ in range(3):
             image = apply_permutation(code, random_permutation(rng, code.n))
             jump, nojump = _searched(_Search, image), _searched(NoJumpSearch, image)
-            assert np.array_equal(jump.best_key, nojump.best_key)
+            assert jump.best_key == nojump.best_key
             assert np.array_equal(jump.best_perm, nojump.best_perm)
 
 
@@ -258,11 +256,31 @@ def test_best_path_leads_to_best_leaf():
         search = _searched(_Search, load_code(cid))
         colors, _ = search.refine(np.zeros(search.n, dtype=np.int64))
         for c in search.best_path:
-            child = colors * 2
-            child[c] -= 1
-            colors, _ = search.refine(child)
+            colors, _ = search.refine(_individualize(colors, c))
         key, perm = search._leaf_key(colors)
-        assert np.array_equal(key, search.best_key) and np.array_equal(perm, search.best_perm)
+        assert key == search.best_key and np.array_equal(perm, search.best_perm)
+
+
+def test_a4_class_with_rank7_lightest_words_searches_few_nodes():
+    # among the 32 classes of the a = 4 branch at k = 8, all with one weight
+    # distribution, one has 48 weight-12 words spanning only 7 dimensions;
+    # refining on them alone left it the automorphisms of that subcode to
+    # walk (28,738 nodes)
+    seeds = [rm1_fixed(5)]
+    for _ in range(2):
+        seeds = [rec.code for rec in classify_step(seeds, 4).classes]
+    assert len(seeds) == 32
+    light = {
+        code: [int(w) for w in code.words() if int(w).bit_count() == code.min_weight()]
+        for code in seeds
+    }
+    assert {len(words) for words in light.values()} == {48}
+    odd = [code for code, words in light.items() if len(rref_masks(words, 32)) < code.k]
+    assert len(odd) == 1 and len(rref_masks(light[odd[0]], 32)) == 7
+    search = _searched(_Search, odd[0])
+    assert search.nodes <= 200
+    rwords = pack_bits(search.rbits.astype(np.uint8)).tolist()
+    assert len(rref_masks(rwords, 32)) == odd[0].k
 
 
 def _same_orbit_reps(code, a):
@@ -299,33 +317,36 @@ def test_orbit_reduce_matches_nojump_generators():
     assert layers == 5
 
 
+def splitmix_reference(x: int) -> int:
+    """The splitmix64 finalizer on one Python int."""
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & (2**64 - 1)
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & (2**64 - 1)
+    return x ^ (x >> 31)
+
+
 def refine_oracle(search, colors):
-    """Reference refinement: incidence counts through one-hot int64 matmuls, then hashed."""
+    """Reference refinement: incidence counts through one-hot int64 matmuls, cells by np.unique."""
     rbits = search.rbits.astype(np.int64)
     R, n = rbits.shape
     ncol = int(colors.max()) + 1
     while True:
         onehot = np.zeros((n, ncol), dtype=np.int64)
         onehot[np.arange(n), colors] = 1
-        counts = (rbits @ onehot).astype(np.uint64)
-        whash = counts @ _mix(ncol) + search.rweights * _mix(ncol + 1)[ncol]
+        whash = (rbits @ onehot).astype(np.uint64) @ _mix(ncol)
         wvals, wcolor = np.unique(whash, return_inverse=True)
         wonehot = np.zeros((R, len(wvals)), dtype=np.int64)
-        wonehot[np.arange(R), wcolor] = 1
-        chash = (rbits.T @ wonehot).astype(np.uint64) @ _mix(len(wvals))
-        csig = np.empty((n, 2 + len(search.pair)), dtype=np.uint64)
-        csig[:, 0] = colors.astype(np.uint64)
-        csig[:, 1] = chash
-        for t, mat in enumerate(search.pair):
-            combined = colors[None, :] * (int(mat.max()) + 1) + mat
-            csig[:, 2 + t] = np.sort(combined, axis=1).astype(np.uint64) @ _mix(n)
-        cuniq, new_colors = np.unique(csig, axis=0, return_inverse=True)
-        if len(cuniq) == ncol and np.array_equal(new_colors, colors):
+        wonehot[np.arange(R), wcolor.reshape(-1)] = 1
+        scrambled = np.array([splitmix_reference(int(v)) for v in wvals], dtype=np.uint64)
+        h = (rbits.T @ wonehot).astype(np.uint64) @ scrambled
+        h += (search.pair @ onehot.astype(np.uint64)) @ _mix(ncol)
+        key = colors.astype(np.uint64) * np.uint64(1 << 58) + h // np.uint64(64)
+        cvals, new_colors = np.unique(key, return_inverse=True)
+        if len(cvals) == ncol:
             sizes = np.bincount(colors, minlength=ncol)
-            digest = hashlib.blake2b(wvals.tobytes() + cuniq.tobytes(), digest_size=8).digest()
+            digest = hashlib.blake2b(np.sort(key).tobytes(), digest_size=8).digest()
             return colors, (ncol, sizes.tobytes(), digest)
-        colors = new_colors
-        ncol = len(cuniq)
+        colors = new_colors.reshape(-1)
+        ncol = len(cvals)
 
 
 def orbit_roots_oracle(gens, path, n):
@@ -353,17 +374,21 @@ def _blocks(roots):
     return [first.setdefault(r, i) for i, r in enumerate(roots)]
 
 
+def _dense(colors):
+    """The coloring renumbered 0, 1, 2, ... in the order of its values."""
+    return np.unique(colors, return_inverse=True)[1].reshape(-1).astype(np.int64)
+
+
 def _refine_inputs(search, rng):
     """Colorings a search meets (refined, then one column individualized) and random ones."""
     n = search.n
     out = [np.zeros(n, dtype=np.int64)]
     stable, _ = refine_oracle(search, np.zeros(n, dtype=np.int64))
-    for c in rng.sample(range(n), min(n, 4)) + [int(np.flatnonzero(stable == 0)[0])]:
-        child = stable * 2
-        child[c] -= 1  # a column of cell 0 becomes color -1
-        out.append(child)
+    shared = np.flatnonzero(np.bincount(stable)[stable] > 1).tolist()  # as the search picks
+    for c in rng.sample(shared, min(len(shared), 4)) + sorted(shared, key=lambda c: stable[c])[:1]:
+        out.append(_individualize(stable, c))
     for m in (2, 3, n):
-        out.append(np.array([rng.randrange(m) for _ in range(n)], dtype=np.int64))
+        out.append(_dense([rng.randrange(m) for _ in range(n)]))
     return out
 
 
@@ -447,36 +472,42 @@ def test_mix_constants_are_pinned():
     assert np.array_equal(_mix(4300)[:4200], _mix_constants(4200))
 
 
-def test_unique_rows_matches_numpy():
-    rng = np.random.default_rng(33)
-    for shape, high in (((1, 3), 5), ((32, 4), 3), ((32, 4), 1 << 63), ((40, 2), 2), ((7, 1), 4)):
-        a = rng.integers(0, high, size=shape, dtype=np.uint64)
-        want, want_inv = np.unique(a, axis=0, return_inverse=True)
-        got, got_inv = _unique_rows(a)
-        assert got.tobytes() == want.tobytes()
-        assert np.array_equal(got_inv, want_inv.reshape(-1))
+def test_individualize_keeps_colors_dense():
+    # a column of a cell of two or more, cell 0 included, takes its cell's
+    # color ahead of its cellmates; no color is negative or skipped
+    rng = random.Random(17)
+    for n in (2, 8, 32):
+        for _ in range(20):
+            colors = _dense([rng.randrange(rng.randint(1, n)) for _ in range(n)])
+            ncol = int(colors.max()) + 1
+            for c in np.flatnonzero(np.bincount(colors)[colors] > 1).tolist():
+                child = _individualize(colors, c)
+                assert sorted(set(child.tolist())) == list(range(ncol + 1))
+                assert child[c] == colors[c]
+                others = np.arange(n) != c
+                assert np.array_equal(child[others] > child[c], colors[others] >= colors[c])
 
 
-def test_leaf_key_matches_reference_packing():
-    # the key is every codeword permuted by the leaf, packed and sorted;
-    # k = 0 is the zero code, whose one codeword is 0
+def test_leaf_key_is_rref_of_permuted_code():
+    # the leaf is the RREF basis of the code moved by the leaf's permutation,
+    # checked against permute_columns and the bit-by-bit reference
     rng = random.Random(16)
-    for n, k in ((32, 16), (20, 15), (32, 10), (12, 0)):
+    for n, k in ((32, 16), (20, 15), (32, 10), (12, 1)):
         code = LinearCode(n, [rng.getrandbits(n) for _ in range(k)])
         search = _Search(code)
-        assert len(search.bits) == 1 << k
         for _ in range(3):
-            colors = np.array([rng.randrange(n) for _ in range(n)])
+            colors = np.array(rng.sample(range(n), n))
             key, perm = search._leaf_key(colors)
             assert np.array_equal(perm, np.argsort(colors))
-            assert key.dtype == np.uint64
-            want = sorted(permute_words_reference(code.words().tolist(), perm.tolist(), n))
-            assert key.tolist() == want
+            assert key == permute_columns(code, perm).row_masks
+            moved = permute_words_reference(code.row_masks, perm.tolist(), n)
+            assert key == LinearCode(n, moved).row_masks
 
 
 def test_canonical_form_peak_memory_on_random_32_18_code():
-    # the coordinate bits take 2^k x n bytes; unpacking them and packing
-    # leaf keys stay within a few times that (one-shot packing took 17x)
+    # the search keeps the 2^k uint64 codewords and the coordinate bits of
+    # its refinement words only; holding the bits of every codeword, as the
+    # sorted-codeword leaf did, peaks at 3.5 x 2^k x n bytes here
     rng = random.Random(18)
     code = LinearCode(32, [rng.getrandbits(32) for _ in range(18)])
     assert code.k == 18
@@ -486,4 +517,4 @@ def test_canonical_form_peak_memory_on_random_32_18_code():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * (1 << code.k) * code.n, peak / ((1 << code.k) * code.n)
+    assert peak <= 4 * 8 * (1 << code.k), peak / (8 * (1 << code.k))

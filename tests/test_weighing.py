@@ -176,11 +176,13 @@ def test_matrix_text_roundtrip():
 
 # sha256, over all catalog codes in all_ids() order, of the dtype, shape and
 # bytes of every matrix build_quwm_set returns: deterministic, and with
-# rng=random.Random(11) per code.  Computed with the per-vector construction
-# (psi of each antipodal_split vector, one coset at a time) that the array
-# build replaced.
-QUWM_SHA256 = "710a8bccfb1d3774b7b6e4f46bfc95c1ec3bca0da5cbcbe568bd35055b7be8df"
-QUWM_RNG11_SHA256 = "c631e88efd3d0b36106f4ac073a35f50298361ee84548146794b0f3d3b344dbf"
+# rng=random.Random(11) per code.  First computed with the per-vector
+# construction (psi of each antipodal_split vector, one coset at a time) that
+# the array build replaced; renewed when the derived [32,10] tenth generators
+# were permuted within their groups, each group's per-code digests unchanged
+# as a multiset.
+QUWM_SHA256 = "31e482f5feaf5b3a37eb926587096996962edd77a8e85ba34914c6b730aee7af"
+QUWM_RNG11_SHA256 = "a92000244afaba08bab631a38df6fece768a4582f22e5d6f4d8c68b2c28f674e"
 
 
 def split_oracle(coset, n, rng=None):
