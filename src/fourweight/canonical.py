@@ -125,7 +125,7 @@ class _Search:
         self.rows = np.array(code.row_masks, dtype=np.uint64)
         # Refinement reads the lightest weight classes until they hold n words
         # and span the code: a spanning union of weight classes has exactly the
-        # code's automorphisms, a subcode maybe many more for the search to walk.
+        # code's automorphisms; one that spans a subcode may have many more.
         take = np.zeros(len(words), dtype=bool)
         basis: list[int] = []
         for w in np.flatnonzero(np.bincount(weights))[1:]:
@@ -158,7 +158,8 @@ class _Search:
         A pass hashes each word to sum_c count[c] * mix[c] over its columns'
         colors c, then ranks the columns by (color, a hash of their words'
         scrambled hashes and of their pair counts): two uint64 matrix-vector
-        products and one sort.  Hashes are column-id-free, so cell ids stay
+        products and one sort of one key, whose top 6 bits hold the color
+        (n <= LENGTH_GUARD < 64).  Hashes are column-id-free, so cell ids stay
         canonical; the old color leads, so cells split in place; a collision
         can only under-split.  Input colors are dense, so a pass that keeps
         the cell count is stable.

@@ -171,8 +171,8 @@ def derive_tenth_generators(progress=None) -> dict[str, list[int]]:
     records one chain per code.  Globally the classes must number exactly
     102 (101 of minimum weight 12, one of 8); table codes are matched to
     classes of their own group by a deterministic bipartite matching in
-    (code index, least realizing vector) order, which no key order sways,
-    and the vector realizing the matched class is recorded per code.
+    (code index, support of the least realizing vector) order, which no key
+    order sways, and that vector is recorded per code.
     """
     tables = _tables()
     family = tables["codes"]["32,10"]
@@ -180,7 +180,7 @@ def derive_tenth_generators(progress=None) -> dict[str, list[int]]:
     for cid, entry in family.items():
         groups.setdefault(tuple(entry["generators"]), []).append(cid)
 
-    group_classes: dict[tuple[str, ...], dict[bytes, int]] = {}
+    group_classes: dict[tuple[str, ...], dict[bytes, tuple[int, ...]]] = {}
     class_d: dict[bytes, int] = {}
     for gens, members in sorted(groups.items()):
         base = _chain_code(32, list(gens))

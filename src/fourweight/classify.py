@@ -173,7 +173,7 @@ def classify_all(n: int, allow_long: bool = False) -> list[ClassificationReport]
     if n == 32 and not allow_long:
         raise CapacityError(
             "length-32 classification scans ~10^6 extension cosets per branch and "
-            "takes about 24 s on 2 CPUs; rerun with allow_long=True (--allow-long)"
+            "takes about 12 s on 2 CPUs; rerun with allow_long=True (--allow-long)"
         )
     m = n.bit_length() - 1
     seed = reference_rm(m)

@@ -490,13 +490,14 @@ def test_individualize_keeps_colors_dense():
 
 def test_leaf_key_is_rref_of_permuted_code():
     # the leaf is the RREF basis of the code moved by the leaf's permutation,
-    # checked against permute_columns and the bit-by-bit reference
+    # checked against permute_columns and the bit-by-bit reference; k = 0 is
+    # the zero code, whose basis is empty
     rng = random.Random(16)
-    for n, k in ((32, 16), (20, 15), (32, 10), (12, 1)):
+    for n, k in ((32, 16), (20, 15), (32, 10), (12, 0)):
         code = LinearCode(n, [rng.getrandbits(n) for _ in range(k)])
         search = _Search(code)
         for _ in range(3):
-            colors = np.array(rng.sample(range(n), n))
+            colors = np.array([rng.randrange(n) for _ in range(n)])
             key, perm = search._leaf_key(colors)
             assert np.array_equal(perm, np.argsort(colors))
             assert key == permute_columns(code, perm).row_masks
