@@ -68,15 +68,8 @@ def _mix_constants(length: int) -> np.ndarray:
     return np.array(out, dtype=np.uint64)
 
 
-_MIX = _mix_constants(4200)
-
-
-def _mix(length: int) -> np.ndarray:
-    """The first `length` fixed multipliers, growing the table if needed."""
-    global _MIX
-    if length > _MIX.size:
-        _MIX = _mix_constants(length)
-    return _MIX[:length]
+#: One multiplier per column color; colors stay below n <= LENGTH_GUARD.
+_MIX = _mix_constants(LENGTH_GUARD)
 
 
 def _splitmix(x: np.ndarray) -> np.ndarray:
@@ -166,7 +159,7 @@ class _Search:
         """
         ncol = int(colors.max()) + 1
         while True:
-            m = _mix(self.n)[colors]
+            m = _MIX[colors]
             whash = self.rbits @ m
             h = self.rbits_t @ _splitmix(whash) + self.pair @ m
             key = (colors.astype(np.uint64) << np.uint64(58)) | (h >> np.uint64(6))

@@ -11,7 +11,7 @@ from fourweight.canonical import (
     _canonicalize,
     _find,
     _individualize,
-    _mix,
+    _MIX,
     _mix_constants,
     _pair_counts,
     apply_permutation,
@@ -332,13 +332,13 @@ def refine_oracle(search, colors):
     while True:
         onehot = np.zeros((n, ncol), dtype=np.int64)
         onehot[np.arange(n), colors] = 1
-        whash = (rbits @ onehot).astype(np.uint64) @ _mix(ncol)
+        whash = (rbits @ onehot).astype(np.uint64) @ _MIX[:ncol]
         wvals, wcolor = np.unique(whash, return_inverse=True)
         wonehot = np.zeros((R, len(wvals)), dtype=np.int64)
         wonehot[np.arange(R), wcolor.reshape(-1)] = 1
         scrambled = np.array([splitmix_reference(int(v)) for v in wvals], dtype=np.uint64)
         h = (rbits.T @ wonehot).astype(np.uint64) @ scrambled
-        h += (search.pair @ onehot.astype(np.uint64)) @ _mix(ncol)
+        h += (search.pair @ onehot.astype(np.uint64)) @ _MIX[:ncol]
         key = colors.astype(np.uint64) * np.uint64(1 << 58) + h // np.uint64(64)
         cvals, new_colors = np.unique(key, return_inverse=True)
         if len(cvals) == ncol:
@@ -465,11 +465,12 @@ def test_are_equivalent_matches_bruteforce_on_random_codes(pair):
 
 
 def test_mix_constants_are_pinned():
-    # the row-hash multipliers every canonical key depends on
+    # the row-hash multipliers every canonical key depends on; the search
+    # uses the first LENGTH_GUARD = 32 of them, one per column color
     digest = hashlib.sha256(_mix_constants(4200).tobytes()).hexdigest()
     assert digest == "208b42ea4b3197a7a95207edffd1c710b59a040b120de91df2cbbaa5d02bbf7d"
     assert _mix_constants(4200).dtype == np.uint64
-    assert np.array_equal(_mix(4300)[:4200], _mix_constants(4200))
+    assert np.array_equal(_MIX, _mix_constants(4200)[:32])
 
 
 def test_individualize_keeps_colors_dense():
