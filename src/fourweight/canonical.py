@@ -5,11 +5,13 @@ column partitions: columns are iteratively colored by their incidence
 pattern with the lightest codewords, a target cell is branched on, and
 the minimum (node-invariant trace, RREF of the permuted basis) over the
 explored tree defines the canonical coordinate order.  Discovered
-automorphisms prune sibling branches, a leaf that reveals one backjumps
-to the depth where its path leaves the best leaf's, and subtrees whose
-invariant trace already exceeds the best leaf are cut.  Equal keys hold
-exactly for equivalent codes; the search realizes the key through an
-explicit witness permutation.
+automorphisms prune sibling branches, and a leaf that reveals one
+backjumps to the depth where its path leaves the best leaf's.  The
+invariant trace prunes by one rule (McKay & Piperno, Practical graph
+isomorphism II, 2014): a node whose trace exceeds the best leaf's trace
+prefix of the same length is cut.  Equal keys hold exactly for
+equivalent codes; the search realizes the key through an explicit
+witness permutation.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from fourweight._bits import permute_bits, reduce_mask, rref_masks, unpack_bits
+from fourweight._bits import permute_bits, reduce_mask, rref_masks, span_masks, unpack_bits
 from fourweight.errors import CapacityError, InputError
 from fourweight.linear import LinearCode
 
@@ -112,7 +114,7 @@ class _Search:
 
     def __init__(self, code: LinearCode):
         n = code.n
-        words = code.words()
+        words = span_masks(code.row_masks)
         weights = np.bitwise_count(words)
         self.n = n
         self.rows = np.array(code.row_masks, dtype=np.uint64)
@@ -199,48 +201,42 @@ class _Search:
     # -- search ----------------------------------------------------------------
 
     def run(self) -> None:
-        colors = np.zeros(self.n, dtype=np.int64)
-        colors, inv = self.refine(colors)
-        self._node(colors, inv, [inv], [], better=True)
+        colors, inv = self.refine(np.zeros(self.n, dtype=np.int64))
+        self._node(colors, [inv], [])
 
-    def _node(
-        self,
-        colors: np.ndarray,
-        inv: tuple,
-        trace: list[tuple],
-        path: list[int],
-        better: bool,
-    ) -> int | None:
+    def _node(self, colors: np.ndarray, trace: list[tuple], path: list[int]) -> int | None:
         """Search the subtree below `path`; returns a backjump depth or None.
 
-        A leaf whose key equals the best key yields the automorphism g
-        taking the best leaf to it.  Its trace equals the best trace, and
-        refinement is label-invariant and splits cells in place, so g maps
-        the best path onto this one position by position: it fixes their
-        common prefix and carries the child of the depth-d node (d, the
-        first position where they differ) that holds the best leaf onto
-        the child this leaf lies in.  That sibling subtree was searched
-        earlier, so no leaf below this child can be strictly better: every
-        node deeper than d returns at once, and the depth-d node goes on
-        to its next candidate.
+        `trace` holds the node invariants from the root down to this node.
+        The one pruning rule: a node whose trace exceeds the best leaf's
+        trace prefix of the same length is cut, since every leaf below it
+        has a greater trace.  A leaf replaces the best leaf when its
+        (trace, key) is smaller.
+
+        A leaf that survives the cut without replacing the best has the
+        best leaf's trace, so a leaf whose key equals the best key yields
+        the automorphism g taking the best leaf to it.  Refinement is
+        label-invariant and splits cells in place, so g maps the best path
+        onto this one position by position: it fixes their common prefix
+        and carries the child of the depth-d node (d, the first position
+        where they differ) that holds the best leaf onto the child this
+        leaf lies in.  That sibling subtree was searched earlier, so no
+        leaf below this child can be strictly better: every node deeper
+        than d returns at once, and the depth-d node goes on to its next
+        candidate.
         """
         self.nodes += 1
         depth = len(path)
-        if not better:
-            ref = self.best_trace[depth]
-            if inv > ref:
-                return None
-            if inv < ref:
-                better = True
+        if self.best_key is not None and trace > self.best_trace[: depth + 1]:
+            return None
 
         ncol = int(colors.max()) + 1
         if ncol == self.n:
             key, perm = self._leaf_key(colors)
-            if better or self.best_key is None:
+            if self.best_key is None or (trace, key) < (self.best_trace, self.best_key):
                 self.best_key, self.best_perm = key, perm
                 self.best_trace, self.best_path = list(trace), list(path)
-                return None
-            if key == self.best_key:
+            elif key == self.best_key:
                 g = np.empty(self.n, dtype=np.int64)
                 g[self.best_perm] = perm
                 g_t = tuple(int(x) for x in g)
@@ -251,18 +247,14 @@ class _Search:
                 diverge = [i for i in range(common) if path[i] != self.best_path[i]]
                 assert diverge, "two leaves share a path"
                 return diverge[0]
-            if key < self.best_key:
-                self.best_key, self.best_perm = key, perm
-                self.best_trace, self.best_path = list(trace), list(path)
             return None
 
         sizes = np.bincount(colors, minlength=ncol)
         target = int(np.flatnonzero(sizes > 1)[0])
-        candidates = sorted(int(c) for c in np.flatnonzero(colors == target))
         tried: list[int] = []
         parent = list(range(self.n))
         seen = 0
-        for c in candidates:
+        for c in np.flatnonzero(colors == target).tolist():
             if tried:
                 seen = self._fold_orbits(parent, seen, path)
                 root = _find(parent, c)
@@ -272,19 +264,11 @@ class _Search:
             child, child_inv = self.refine(_individualize(colors, c))
             path.append(c)
             trace.append(child_inv)
-            jump = self._node(child, child_inv, trace, path, better)
+            jump = self._node(child, trace, path)
             trace.pop()
             path.pop()
             if jump is not None and jump < depth:
                 return jump
-            # A strictly better branch replaced best; siblings now compare
-            # against the new best, so the 'better' flag must be recomputed.
-            if better and self.best_key is not None:
-                better = False
-                if trace != self.best_trace[: len(trace)]:
-                    better = trace < self.best_trace[: len(trace)]
-                    if not better:
-                        return None
         return None
 
 

@@ -82,14 +82,14 @@ def _orbit_reduce(parent: LinearCode, xs: np.ndarray) -> np.ndarray:
         if (idx >= xs.size).any() or not np.array_equal(xs[np.minimum(idx, xs.size - 1)], y):
             raise AssertionError("automorphism left the valid-coset set")
         maps.append(idx)
+    # One-way propagation suffices: at the fixpoint labels[i] <= labels[g(i)]
+    # and each g has finite order, so labels are constant on every orbit.
     labels = np.arange(xs.size)
     while True:
-        prev = labels.copy()
+        prev = labels
         for idx in maps:
             labels = np.minimum(labels, labels[idx])
-            np.minimum.at(labels, idx, labels)
-        # propagate to orbit minima
-        labels = labels[labels]
+        labels = labels[labels]  # pointer jumping
         if np.array_equal(labels, prev):
             break
     return xs[labels == np.arange(xs.size)]

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from fourweight import catalog
-from fourweight.canonical import are_equivalent, equivalence_witness
+from fourweight.canonical import equivalence_witness
 from fourweight.classify import classify_all
 from fourweight.conditions import check_conditions
 from fourweight.cover import CosetLeaderProfile, is_maximal
@@ -85,8 +85,8 @@ def cmd_wdist(args) -> int:
 
 def cmd_equiv(args) -> int:
     c1, c2 = LinearCode.from_file(args.code_a), LinearCode.from_file(args.code_b)
-    witness = equivalence_witness(c1, c2) if (c1.n, c1.k) == (c2.n, c2.k) else None
-    equivalent = witness is not None or are_equivalent(c1, c2)
+    witness = equivalence_witness(c1, c2)
+    equivalent = witness is not None
     payload = {
         "equivalent": equivalent,
         "witness": [t + 1 for t in witness] if witness else None,

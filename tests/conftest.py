@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from fourweight.catalog import load_code
+from fourweight.classify import classify_step
 from fourweight.cover import _extension_blocks
 from fourweight.errors import InputError
+from fourweight.reedmuller import rm1_fixed
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +25,16 @@ def n16_codes():
 @pytest.fixture(scope="session")
 def n8_codes():
     return {cid: load_code(cid) for cid in ("C_{8,5}", "C_{8,6}", "C_{8,7}")}
+
+
+@pytest.fixture(scope="session")
+def a8_chain():
+    """The a = 8 branch at length 32: RM(1,5), then every class at k = 7 to 10."""
+    seeds, chain = [rm1_fixed(5)], []
+    while seeds:
+        chain += seeds
+        seeds = [rec.code for rec in classify_step(seeds, 8).classes]
+    return chain
 
 
 def random_permutation(rng, n):

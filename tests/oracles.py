@@ -2,7 +2,10 @@
 
 They share no machinery with the kernels they certify: the covering
 radius is a scan of all 2^n vectors, isomorphism a backtracking column
-assignment, and a coordinate permutation moves one bit at a time.
+assignment, and a coordinate permutation moves one bit at a time.  The
+orbit reduction here is the program's earlier loop, which propagated
+labels both ways along each generator, over maps built by its own bit
+moves and coset minima.
 """
 
 import numpy as np
@@ -112,3 +115,41 @@ def find_isomorphism_bruteforce(c1: LinearCode, c2: LinearCode):
         inverse[sol[t]] = order[t]
     assert LinearCode(n, permute_words_reference(c1.row_masks, inverse, n)) == c2
     return tuple(sigma)
+
+
+def orbit_reps_two_way(parent: LinearCode, gens, xs: np.ndarray) -> np.ndarray:
+    """Reference orbit reduction: the least coset rep of each orbit under gens.
+
+    xs is a sorted uint64 array of coset reps of the parent, each the least
+    word of its coset.  Generator g moves coordinate j to g[j]; a rep's
+    image is its bits moved and repacked, then the least word of that coset
+    by a scan over the parent's codewords.  Each round lowers every label
+    to its image's label and every image's label to its own
+    (``np.minimum.at``), then jumps pointers, until a round changes nothing.
+    """
+    n = parent.n
+    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
+    words = parent.words()
+    rows = max(1, (1 << 20) // words.size)
+    maps = []
+    for g in gens:
+        idx = np.empty(xs.size, dtype=np.int64)
+        for lo in range(0, xs.size, rows):
+            bits = (xs[lo : lo + rows, None] >> shifts) & np.uint64(1)
+            moved = np.empty_like(bits)
+            moved[:, list(g)] = bits
+            least = ((moved << shifts).sum(axis=1)[:, None] ^ words[None, :]).min(axis=1)
+            at = np.searchsorted(xs, least)
+            assert (at < xs.size).all() and (xs[at] == least).all(), "a generator left the cosets"
+            idx[lo : lo + rows] = at
+        maps.append(idx)
+    labels = np.arange(xs.size)
+    while True:
+        prev = labels.copy()
+        for idx in maps:
+            labels = np.minimum(labels, labels[idx])
+            np.minimum.at(labels, idx, labels)
+        labels = labels[labels]
+        if np.array_equal(labels, prev):
+            break
+    return xs[labels == np.arange(xs.size)]

@@ -98,6 +98,16 @@ def test_oracle_cross_validation(rng, n8_codes, n16_codes):
             assert are_equivalent(a, b) == (find_isomorphism_bruteforce(a, b) is not None)
 
 
+def test_search_leaves_codewords_uncached():
+    # the lru_cache keys on each code, so the search must not cache its
+    # 2^k codewords on it
+    code = LinearCode(32, [0xFFFF0000, 0xFF00FF00, 0xF0F0F0F0, 0xCCCCCCCC, 0xAAAAAAAB])
+    misses = _canonicalize.cache_info().misses
+    canonical_form(code)
+    assert _canonicalize.cache_info().misses == misses + 1
+    assert "_words" not in vars(code)
+
+
 def test_guards():
     with pytest.raises(InputError):
         canonical_form(LinearCode(8))
@@ -165,7 +175,15 @@ def test_golden_keys_witnesses_and_generators():
 
 
 class NoJumpSearch(_Search):
-    """The search without backjumping: a leaf equal to the best only adds a generator."""
+    """The search without backjumping: a leaf equal to the best only adds a generator.
+
+    It also keeps the inherited `better` flag, recomputed after each child,
+    so it is the reference for the one trace-prefix pruning rule of _Search.
+    """
+
+    def run(self):
+        colors, inv = self.refine(np.zeros(self.n, dtype=np.int64))
+        self._node(colors, inv, [inv], [], better=True)
 
     def _node(self, colors, inv, trace, path, better):
         self.nodes += 1
@@ -239,14 +257,16 @@ def test_backjump_visits_fewer_nodes():
         assert (jump.nodes, nojump.nodes) == pinned
 
 
-def test_backjump_keeps_keys_and_witnesses(rng, n16_codes):
-    codes = list(n16_codes.values()) + [load_code("C_{32,9,92}"), load_code("C_{32,11,2}")]
-    for code in codes:
-        for _ in range(3):
-            image = apply_permutation(code, random_permutation(rng, code.n))
-            jump, nojump = _searched(_Search, image), _searched(NoJumpSearch, image)
-            assert jump.best_key == nojump.best_key
-            assert np.array_equal(jump.best_perm, nojump.best_perm)
+def test_backjump_keeps_keys_and_witnesses(rng, a8_chain):
+    # the one trace-prefix rule against the oracle's recomputed better flag,
+    # on every catalog code, the a = 8 chain and a random image of each
+    codes = [load_code(c) for c in all_ids(8) + all_ids(16) + all_ids(32)] + a8_chain
+    images = [apply_permutation(code, random_permutation(rng, code.n)) for code in codes]
+    assert len(images) >= 100
+    for code in codes + images:
+        jump, nojump = _searched(_Search, code), _searched(NoJumpSearch, code)
+        assert jump.best_key == nojump.best_key
+        assert np.array_equal(jump.best_perm, nojump.best_perm)
 
 
 def test_best_path_leads_to_best_leaf():
@@ -295,7 +315,7 @@ def _same_orbit_reps(code, a):
     assert got.tolist() == want.tolist()
 
 
-def test_orbit_reduce_matches_nojump_generators():
+def test_orbit_reduce_matches_nojump_generators(a8_chain):
     parents = []
     for cid in all_ids(8) + all_ids(16) + all_ids(32):
         code = load_code(cid)
@@ -305,16 +325,10 @@ def test_orbit_reduce_matches_nojump_generators():
     assert len(parents) == 5
     for rep in classify_all(16):
         parents += [(rec.code, rec.a) for rec in rep.classes]
+    parents += [(code, 8) for code in a8_chain]
+    assert len(a8_chain) == 6
     for code, a in parents:
         _same_orbit_reps(code, a)
-    # the a = 8 branch at length 32, layer by layer
-    seeds, layers = [rm1_fixed(5)], 0
-    while seeds:
-        for code in seeds:
-            _same_orbit_reps(code, 8)
-        seeds = [rec.code for rec in classify_step(seeds, 8).classes]
-        layers += 1
-    assert layers == 5
 
 
 def splitmix_reference(x: int) -> int:

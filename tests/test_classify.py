@@ -1,16 +1,19 @@
 import hashlib
 import json
+import random
 
 import pytest
 
-from fourweight.canonical import are_equivalent
+from fourweight.canonical import are_equivalent, automorphism_generators
 from fourweight.catalog import load_code
-from fourweight.classify import classify_all, classify_step
+from fourweight.classify import _orbit_reduce, classify_all, classify_step
 from fourweight.conditions import admissible_offsets, reference_rm, require_certificate
 from fourweight.cover import valid_extension_vectors
 from fourweight.errors import CapacityError, InputError
 from fourweight.linear import LinearCode
 from fourweight.reedmuller import rm1, rm1_fixed
+
+from oracles import orbit_reps_two_way, permute_words_reference
 
 
 @pytest.fixture(scope="module")
@@ -188,3 +191,68 @@ def test_classification_uses_fixed_reference(reports16):
     for rep in reports16:
         for rec in rep.classes:
             assert rec.code.contains(rm)
+
+
+def _orbit_reduce_matches_two_way(code, a):
+    """The valid cosets and the kept reps, checked against the two-way oracle."""
+    xs = valid_extension_vectors(code, a)
+    got = _orbit_reduce(code, xs)
+    assert got.tolist() == orbit_reps_two_way(code, automorphism_generators(code), xs).tolist()
+    return xs.size, got.size
+
+
+def test_orbit_reduce_matches_two_way_oracle(a8_chain):
+    # the a = 4 root layer: 219,604 valid cosets of RM(1,5) in 3 orbits
+    root = reference_rm(5)
+    assert _orbit_reduce_matches_two_way(root, 4) == (219_604, 3)
+    for code in a8_chain:
+        _orbit_reduce_matches_two_way(code, 8)
+    # [32,9] codes between RM(1,5) and a table [32,10] code, as the a = 4
+    # layer from k = 9 meets them; some have no discovered automorphism
+    rng = random.Random(35)
+    merged = 0
+    for i in rng.sample(range(1, 102), 8):
+        source = load_code(f"C_{{32,10,{i}}}")
+        while True:
+            picks = []
+            for _ in range(3):
+                x = 0
+                for row in source.row_masks:
+                    x ^= row * rng.getrandbits(1)
+                picks.append(x)
+            code = LinearCode(32, root.row_masks + tuple(picks))
+            if code.k == 9:
+                break
+        cosets, reps = _orbit_reduce_matches_two_way(code, 4)
+        merged += cosets - reps
+    assert merged > 0
+
+
+def test_orbit_reduce_keeps_each_orbit_minimum(reports16):
+    # brute-force closure on the n = 16 parents: each orbit of valid cosets
+    # under the discovered generators holds exactly one kept rep, its least
+    parents = [(reference_rm(4), a) for a in admissible_offsets(16)]
+    parents += [(rec.code, rec.a) for rep in reports16 for rec in rep.classes]
+    for code, a in parents:
+        xs = valid_extension_vectors(code, a)
+        words = code.words().tolist()
+        orders = []
+        for g in automorphism_generators(code):
+            order = [0] * code.n
+            for j, gj in enumerate(g):
+                order[gj] = j
+            orders.append(order)
+        covered = set()
+        for rep in _orbit_reduce(code, xs).tolist():
+            orbit, todo = {rep}, [rep]
+            while todo:
+                x = todo.pop()
+                for order in orders:
+                    y = permute_words_reference([x], order, code.n)[0]
+                    y = min(y ^ w for w in words)
+                    if y not in orbit:
+                        orbit.add(y)
+                        todo.append(y)
+            assert min(orbit) == rep and orbit.isdisjoint(covered)
+            covered |= orbit
+        assert covered == set(xs.tolist())

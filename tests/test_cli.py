@@ -114,10 +114,12 @@ def test_equiv_and_witness(capsys, code_file, rng):
 def test_equiv_negative(capsys, code_file):
     p1 = code_file("C_{16,6,1}", "a.code")
     p2 = code_file("C_{16,6,2}", "b.code")
-    status, out, _ = run_cli(capsys, "--format", "json", "equiv", p1, p2)
-    assert status == 1
-    payload = json.loads(out)
-    assert payload == {"equivalent": False, "witness": None}
+    p3 = code_file("C_{8,5}", "c.code")
+    for pair in ((p1, p2), (p1, p3)):
+        status, out, _ = run_cli(capsys, "--format", "json", "equiv", *pair)
+        assert status == 1
+        payload = json.loads(out)
+        assert payload == {"equivalent": False, "witness": None}
 
 
 def test_equiv_zero_dimensional_codes(capsys, code_file):
