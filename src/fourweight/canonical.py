@@ -16,9 +16,15 @@ witness permutation.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
+
+# The builtin blake2b, which hashlib.blake2b is: importing hashlib loads
+# OpenSSL's libcrypto, about 3.6 MiB of RSS for one node digest.
+try:
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 import numpy as np
 
@@ -171,7 +177,7 @@ class _Search:
             cells = int(np.count_nonzero(step)) + 1
             if cells == ncol:
                 sizes = np.bincount(colors, minlength=ncol)
-                digest = hashlib.blake2b(ordered.tobytes(), digest_size=8).digest()
+                digest = blake2b(ordered.tobytes(), digest_size=8).digest()
                 return colors, (ncol, sizes.tobytes(), digest)
             colors = np.zeros_like(colors)
             colors[order[1:]] = np.cumsum(step)

@@ -13,12 +13,21 @@ also records computed covering radii that the tables do not state.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+
+# CPython's builtin sha256 (_sha2 from 3.12, _sha256 before): importing
+# hashlib loads OpenSSL's libcrypto, about 3.6 MiB of RSS for one checksum.
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from fourweight._bits import support_to_mask
 from fourweight.canonical import canonical_form
@@ -40,7 +49,7 @@ def _read_data(name: str) -> str:
 @lru_cache(maxsize=1)
 def _tables() -> dict:
     raw = _read_data("tables.json")
-    digest = hashlib.sha256(raw.encode()).hexdigest()
+    digest = sha256(raw.encode()).hexdigest()
     if digest != TABLES_SHA256:
         raise IntegrityError(
             f"tables.json checksum mismatch: {digest} != {TABLES_SHA256}"

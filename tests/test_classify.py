@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -8,7 +9,7 @@ from fourweight.canonical import are_equivalent, automorphism_generators
 from fourweight.catalog import load_code
 from fourweight.classify import _orbit_reduce, classify_all, classify_step
 from fourweight.conditions import admissible_offsets, reference_rm, require_certificate
-from fourweight.cover import valid_extension_vectors
+from fourweight.cover import SIEVE_BLOCK, valid_extension_vectors
 from fourweight.errors import CapacityError, InputError
 from fourweight.linear import LinearCode
 from fourweight.reedmuller import rm1, rm1_fixed
@@ -226,6 +227,22 @@ def test_orbit_reduce_matches_two_way_oracle(a8_chain):
         cosets, reps = _orbit_reduce_matches_two_way(code, 4)
         merged += cosets - reps
     assert merged > 0
+
+
+def test_orbit_reduce_root_layer_peak_memory():
+    # the a = 4 root layer's 219,604 cosets span 14 blocks of SIEVE_BLOCK
+    # reps; one intp map of all of them per generator peaked at 46.9 MiB
+    root = rm1_fixed(5)
+    xs = valid_extension_vectors(root, 4)
+    assert -(-xs.size // SIEVE_BLOCK) == 14
+    tracemalloc.start()
+    try:
+        reps = _orbit_reduce(root, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reps.size == 3
+    assert peak <= 20 << 20, peak / (1 << 20)
 
 
 def test_orbit_reduce_keeps_each_orbit_minimum(reports16):

@@ -4,6 +4,9 @@ Test-only helpers and oracles belong under tests/ (see tests/oracles.py).
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import fourweight
@@ -48,3 +51,24 @@ def test_src_defines_no_test_only_names():
         if not _is_dunder(name) and name not in fourweight.__all__ and name not in used
     ]
     assert not unused, unused
+
+
+def test_no_process_loads_openssl():
+    # hashlib loads OpenSSL's libcrypto (about 3.6 MiB of RSS); the node
+    # digest and the tables checksum take CPython's builtin hashes instead
+    code = (
+        "import sys\n"
+        "import fourweight\n"
+        "from fourweight.catalog import all_ids, load_code\n"
+        "from fourweight.canonical import canonical_form\n"
+        "from fourweight.cover import leader_profile\n"
+        "assert len(all_ids(32)) == 196\n"
+        "code = load_code('C_{32,9,1}')\n"
+        "canonical_form(code)\n"
+        "leader_profile(code)\n"
+        "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(fourweight.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
