@@ -170,7 +170,7 @@ def all_ids(scope: int | str = "all") -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def derive_tenth_generators(progress=None) -> dict[str, list[int]]:
+def derive_tenth_generators() -> dict[str, list[int]]:
     """Search the dual for the missing [32,10] generator of every table code.
 
     The three listed generators of each code span a [32,9] subcode E; its
@@ -209,8 +209,6 @@ def derive_tenth_generators(progress=None) -> dict[str, list[int]]:
                 f"for {len(members)} table codes {members}"
             )
         group_classes[gens] = classes
-        if progress:
-            progress(f"{'|'.join(gens)}: {len(members)} code(s), {len(classes)} classes")
 
     by_d = {8: 0, 12: 0}
     for d in class_d.values():
@@ -313,14 +311,8 @@ class VerificationReport:
         return lines
 
 
-def _radii(ids: list[str], threads: int) -> dict[str, int]:
-    def one(cid: str) -> tuple[str, int]:
-        return cid, leader_profile(load_code(cid)).radius
-
-    from concurrent.futures import ThreadPoolExecutor  # imports logging, which import fourweight skips
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return dict(pool.map(one, ids))
+def _radii(ids: list[str]) -> dict[str, int]:
+    return {cid: leader_profile(load_code(cid)).radius for cid in ids}
 
 
 def _verify_reconstruction(report: VerificationReport, ids: list[str]) -> dict[str, LinearCode]:
@@ -366,7 +358,7 @@ def _verify_quwm(report: VerificationReport, cid: str, code: LinearCode) -> None
     )
 
 
-def _verify_scope_8(report: VerificationReport, threads: int) -> None:
+def _verify_scope_8(report: VerificationReport) -> None:
     ids = all_ids(8)
     codes = _verify_reconstruction(report, ids)
     rm = rm1(3)
@@ -390,17 +382,17 @@ def _verify_scope_8(report: VerificationReport, threads: int) -> None:
             code.weight_distribution().nonzero_weights() == (0, 2, 4, 6, 8),
         )
         _verify_quwm(report, cid, code)
-    report.covering_radius.update(_radii(list(codes), threads))
+    report.covering_radius.update(_radii(list(codes)))
 
 
-def _verify_scope_16(report: VerificationReport, threads: int) -> None:
+def _verify_scope_16(report: VerificationReport) -> None:
     ids = all_ids(16)
     codes = _verify_reconstruction(report, ids)
     for k in (6, 7, 8):
         _verify_family_distinct(
             report, f"[16,{k}]", [i for i in ids if parse_id(i)[1] == k], 2
         )
-    radii = _radii(ids, threads)
+    radii = _radii(ids)
     report.covering_radius.update(radii)
     report.add(
         "C_{16,7,1} has covering radius 4",
@@ -427,7 +419,7 @@ def _verify_scope_16(report: VerificationReport, threads: int) -> None:
         _verify_quwm(report, cid, code)
 
 
-def _verify_scope_32(report: VerificationReport, threads: int) -> None:
+def _verify_scope_32(report: VerificationReport) -> None:
     ids = all_ids(32)
     codes = _verify_reconstruction(report, ids)
     report.add("all 196 length-32 codes reconstruct", len(codes) == 196, f"{len(codes)}")
@@ -435,7 +427,7 @@ def _verify_scope_32(report: VerificationReport, threads: int) -> None:
         _verify_family_distinct(
             report, f"[32,{k}]", [i for i in ids if parse_id(i)[1] == k], expected
         )
-    radii = _radii(ids, threads)
+    radii = _radii(ids)
     report.covering_radius.update(radii)
     d12_k10 = [f"C_{{32,10,{i}}}" for i in range(1, 102)]
     report.add(
@@ -476,13 +468,10 @@ def _verify_scope_32(report: VerificationReport, threads: int) -> None:
         _verify_quwm(report, cid, code)
 
 
-def verify_claims(scope: int | str = "all", threads: int = 1) -> VerificationReport:
+def verify_claims(scope: int | str = "all") -> VerificationReport:
     """Check every reconstructable claim in the given scope (8, 16, 32 or 'all')."""
-    lengths = _scopes(scope)
-    if threads < 1:
-        raise InputError(f"threads must be at least 1, not {threads}")
     report = VerificationReport(scope=str(scope))
     verifiers = {8: _verify_scope_8, 16: _verify_scope_16, 32: _verify_scope_32}
-    for length in lengths:
-        verifiers[length](report, threads)
+    for length in _scopes(scope):
+        verifiers[length](report)
     return report

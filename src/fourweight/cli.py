@@ -171,7 +171,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    report = catalog.verify_claims(args.scope, threads=args.threads)
+    report = catalog.verify_claims(args.scope)
     payload = report.as_dict()
     _emit(payload, args, report.summary_lines())
     return EXIT_OK if report.all_pass else EXIT_CLAIM
@@ -205,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized choices")
-    parser.add_argument("--threads", type=int, default=1, help="worker cap for batch checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("rm", help="emit RM(1,m) in the code text format")

@@ -54,7 +54,7 @@ def antipodal_split(
     the psi image starts with +1; passing an rng picks a random member per
     pair instead.  Output is sorted lexicographically.
     """
-    if not coset:
+    if len(coset) == 0:
         raise InputError("empty coset")
     if not 0 < n <= 64:
         raise InputError(f"coset vectors must have length 1..64, not {n}")
@@ -108,10 +108,16 @@ def _weighing_checks(x: np.ndarray, a: int, weight: int) -> np.ndarray:
     )
 
 
+def _integral(x: np.ndarray) -> bool:
+    """True iff every entry of x is a finite integer; integer dtypes pass unscanned."""
+    with np.errstate(invalid="ignore"):  # inf % 1 is nan, which fails the test
+        return x.dtype.kind in "biu" or bool((x % 1 == 0).all())
+
+
 def verify_weighing(w_matrix: np.ndarray, weight: int) -> bool:
     """True iff entries lie in {-1,0,1}, rows/columns have exactly `weight` nonzeros, and W W^T = weight I."""
-    w = np.asarray(w_matrix, dtype=np.int64)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+    w = np.asarray(w_matrix)
+    if w.ndim != 2 or w.shape[0] != w.shape[1] or not _integral(w):
         return False
     return bool(_weighing_checks(w[None].astype(np.float64), 1, weight)[0])  # exact for signs
 
@@ -150,7 +156,9 @@ class QuwmSet:
         n, a, l = self.params.n, self.params.a, self.params.l
         if any(np.shape(h) != (n, n) for h in self.matrices):
             raise InputError(f"matrices must all have order {n}")
-        h = np.array(self.matrices, dtype=np.int64).reshape(-1, n, n)
+        h = np.array(self.matrices).reshape(-1, n, n)
+        if not _integral(h):
+            raise InputError("matrix entries must be integers")
         # float64 is exact here: with M the largest |entry|, every entry and
         # partial sum of H_i H_j^T is at most n M^2 and of its Gram matrix at
         # most n^3 M^4, all integers below 2^53, so nothing rounds in any order.

@@ -35,7 +35,7 @@ def _report(num, ok, elapsed, detail):
 @pytest.fixture(scope="module")
 def scope32():
     t0 = time.time()
-    report = verify_claims(32, threads=2)
+    report = verify_claims(32)
     elapsed = time.time() - t0
     failed = [c.claim for c in report.claims if not c.ok]
     assert report.all_pass, failed

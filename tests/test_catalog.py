@@ -96,9 +96,9 @@ def test_verify_claims_scope8():
     assert report.all_pass, [c.claim for c in report.claims if not c.ok]
 
 
-def test_verify_claims_scope16_thread_determinism():
-    r1 = verify_claims(16, threads=1)
-    r2 = verify_claims(16, threads=2)
+def test_verify_claims_scope16_determinism():
+    r1 = verify_claims(16)
+    r2 = verify_claims(16)
     assert r1.all_pass, [c.claim for c in r1.claims if not c.ok]
     assert r1.as_dict() == r2.as_dict()
 

@@ -68,7 +68,24 @@ def test_no_process_loads_openssl():
         "leader_profile(code)\n"
         "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
     )
+    assert _fresh_stdout(code) == "[]"
+
+
+def test_verify_paper_starts_no_thread():
+    # every claim is checked in the calling thread: no worker pool, and
+    # none of the modules a pool would import
+    code = (
+        "import sys, threading\n"
+        "from fourweight.catalog import verify_claims\n"
+        "assert verify_claims(8).all_pass\n"
+        "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)), threading.active_count())\n"
+    )
+    assert _fresh_stdout(code) == "[] 1"
+
+
+def _fresh_stdout(code: str) -> str:
+    """The stripped stdout of `code` run in a new interpreter that imports this fourweight."""
     src = os.path.dirname(os.path.dirname(fourweight.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()

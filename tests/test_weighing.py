@@ -90,11 +90,18 @@ def test_antipodal_split_rejects_open_coset():
         ([-1, 0], 4),
         ([0, (1 << 65) - 1], 65),  # n > 64
         ([0, 0b1111, 0], 4),  # a repeated vector
+        (np.array([], dtype=np.uint64), 4),
     ],
 )
 def test_antipodal_split_rejects_bad_input(coset, n):
     with pytest.raises(InputError):
         antipodal_split(coset, n)
+
+
+def test_antipodal_split_accepts_numpy_arrays():
+    words = [int(w) for w in rm1(3).words()]
+    assert antipodal_split(np.array(words, dtype=np.uint64), 8) == antipodal_split(words, 8)
+    assert antipodal_split(np.array([0, 255], dtype=np.uint64), 8) == [0]
 
 
 def test_antipodal_split_randomized_one_per_pair(rng):
@@ -110,6 +117,17 @@ def test_verify_weighing_examples():
     assert verify_weighing(np.eye(5, dtype=int), 1)
     assert not verify_weighing(np.ones((2, 2), dtype=int), 2)
     assert not verify_weighing(np.array([[2, 0], [0, 2]]), 1)
+
+
+def test_verify_weighing_rejects_non_integer_entries():
+    h4 = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+    assert verify_weighing(np.eye(4), 1) and verify_weighing(1.0 * h4, 4)
+    assert not verify_weighing(1.5 * np.eye(4), 1)
+    assert not verify_weighing(1.2 * h4, 4)
+    for x in (np.nan, np.inf):
+        w = np.eye(4)
+        w[3, 3] = x
+        assert not verify_weighing(w, 1)
 
 
 def test_quwm_params_consistency():
@@ -339,6 +357,17 @@ def test_verify_empty_and_single_sets(n16_codes):
         QuwmSet(params, (h, h[:8, :8])).verify()
     with pytest.raises(InputError):
         verify_quasi_unbiased(h, h[:8], params)
+
+
+def test_verify_rejects_non_integer_entries():
+    h = np.array([[1, 1], [1, -1]])
+    params = QuwmParams(2, 2, 1, 4)
+    assert QuwmSet(params, (1.0 * h, h)).verify().all_pass
+    for scale in (1.2, 0.5):
+        with pytest.raises(InputError, match="integers"):
+            QuwmSet(params, (scale * h,)).verify()
+        with pytest.raises(InputError, match="integers"):
+            verify_quasi_unbiased(h, scale * h, params)
 
 
 def test_verify_exactness_bound():
