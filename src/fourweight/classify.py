@@ -72,10 +72,16 @@ def _orbit_reduce(parent: LinearCode, xs: np.ndarray) -> np.ndarray:
     extensions, so dropping them cannot lose a class; canonical-key
     reduction still follows.  Each generator's map is built SIEVE_BLOCK
     reps at a time and kept as int32, so the peak is 4 bytes per rep and
-    generator plus one block's scratch.
+    generator plus one block's scratch.  With at most one valid coset there
+    is no orbit to merge, so that return comes before the generators are
+    asked for: they come from a canonical search of the parent, run unless
+    one is cached, which a maximal parent (no valid coset) would not
+    otherwise need.
     """
+    if xs.size <= 1:
+        return xs
     gens = automorphism_generators(parent)
-    if not gens or xs.size <= 1:
+    if not gens:
         return xs
     maps = []
     for g in gens:
@@ -179,7 +185,7 @@ def classify_all(n: int, allow_long: bool = False) -> list[ClassificationReport]
     if n == 32 and not allow_long:
         raise CapacityError(
             "length-32 classification scans ~10^6 extension cosets per branch and "
-            "takes 8.5-10 s and 54 MiB of RSS on 2 CPUs; rerun with allow_long=True (--allow-long)"
+            "takes 7-10 s and 54 MiB of RSS on 2 CPUs; rerun with allow_long=True (--allow-long)"
         )
     m = n.bit_length() - 1
     seed = reference_rm(m)

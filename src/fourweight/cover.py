@@ -15,7 +15,9 @@ scratch and never the table.  Maximality of a qualifying code asks
 whether some coset could extend it within the same weight set; when the
 weight set is doubly even any extension vector must lie in the dual, so
 the scan shrinks to the 2^(n-2k) cosets of C inside C-perp, filtered one
-block of REP_BLOCK representatives at a time.
+block of REP_BLOCK representatives at a time.  The filter is a sieve whose
+steps test popcounts by equality against the allowed weights and compact
+the surviving representatives by index (see coset_filter).
 """
 
 from __future__ import annotations
@@ -236,9 +238,14 @@ def coset_filter(words: np.ndarray, reps: np.ndarray, allowed: int) -> np.ndarra
     A shrinking sieve: at each step the surviving reps meet the next block
     of max(1, SIEVE_BLOCK // live reps) codewords, so most reps are dropped
     after the first few words, and a step's temporaries stay cache-sized:
-    at most max(live reps, SIEVE_BLOCK) entries.
+    at most max(live reps, SIEVE_BLOCK) entries.  A step tests each popcount
+    by equality against the allowed weights, ORed into one bool array, and
+    compacts the survivors by one flatnonzero and two integer takes; a
+    gather from a 65-entry weight table and two boolean-mask indexings cost
+    several times as much and do no arithmetic.
     """
-    ok_weight = np.array([(allowed >> w) & 1 for w in range(65)], dtype=bool)
+    # with no bit of 0..64 set, test against 65, which no popcount reaches
+    weights = [w for w in range(65) if (allowed >> w) & 1] or [65]
     idx = np.arange(reps.size)
     live = reps
     lo = 0
@@ -246,9 +253,13 @@ def coset_filter(words: np.ndarray, reps: np.ndarray, allowed: int) -> np.ndarra
         block = words[lo : lo + max(1, SIEVE_BLOCK // live.size)]
         # words on the first axis: all() then ANDs whole rows, which is
         # about twice as fast as reducing short rows along the last axis
-        keep = ok_weight[np.bitwise_count(block[:, None] ^ live[None, :])].all(axis=0)
-        live = live[keep]
-        idx = idx[keep]
+        pop = np.bitwise_count(block[:, None] ^ live[None, :])
+        ok = pop == weights[0]
+        for w in weights[1:]:
+            ok |= pop == w
+        keep = np.flatnonzero(ok.all(axis=0))
+        live = live.take(keep)
+        idx = idx.take(keep)
         lo += block.size
     out = np.zeros(reps.size, dtype=bool)
     out[idx] = True
@@ -335,14 +346,18 @@ def valid_extension_vectors(code: LinearCode, a: int) -> np.ndarray:
     """All coset reps x with every weight of x + code in {n/2-a, n/2, n/2+a}, a sorted uint64 array.
 
     The reps are filtered one block of REP_BLOCK at a time, so the sweep
-    holds a block and its sieve temporaries besides the survivors.
+    holds a block and its sieve temporaries besides the survivors; a
+    block's survivors are taken by index, as inside the sieve.
     """
     n = code.n
     allowed_mask = 0
     for w in (n // 2 - a, n // 2, n // 2 + a):
         allowed_mask |= 1 << w
     words = code.words()
-    blocks = [reps[coset_filter(words, reps, allowed_mask)] for reps in _extension_blocks(code, a)]
+    blocks = [
+        reps.take(np.flatnonzero(coset_filter(words, reps, allowed_mask)))
+        for reps in _extension_blocks(code, a)
+    ]
     return np.sort(np.concatenate(blocks))
 
 

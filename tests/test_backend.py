@@ -197,7 +197,10 @@ def test_leader_weights_rejects_missing_unit_syndrome():
 
 def test_coset_filter_matches_chunked_oracle():
     rng = np.random.default_rng(6)
-    for n, k, nreps in ((16, 3, 2000), (32, 6, 5000), (64, 4, 3000), (32, 0, 50), (20, 5, 0)):
+    for n, k, nreps in (
+        (16, 3, 2000), (32, 6, 5000), (64, 4, 3000), (32, 0, 50), (20, 5, 0),
+        (32, 1, SIEVE_BLOCK + 123),  # more reps than SIEVE_BLOCK
+    ):
         basis = rng.integers(0, 1 << n, size=k, dtype=np.uint64)
         words = LinearCode(n, [int(b) for b in basis]).words()
         reps = rng.integers(0, 1 << n, size=nreps, dtype=np.uint64)
@@ -207,6 +210,9 @@ def test_coset_filter_matches_chunked_oracle():
             _mask(range(n + 1)),
             _mask(range(0, n + 1, 2)),
             _mask([n + 1]),  # every rep rejected
+            0,  # no weight allowed: every rep rejected
+            _mask([center]),
+            _mask(range(65)),  # every weight a popcount can take
             int(rng.integers(0, 1 << 62)),
         ):
             expect = chunked_filter_oracle(words, reps, allowed)

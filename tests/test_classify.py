@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from fourweight.canonical import are_equivalent, automorphism_generators
+from fourweight.canonical import _canonicalize, are_equivalent, automorphism_generators
 from fourweight.catalog import load_code
 from fourweight.classify import _orbit_reduce, classify_all, classify_step
 from fourweight.conditions import admissible_offsets, reference_rm, require_certificate
@@ -243,6 +243,23 @@ def test_orbit_reduce_root_layer_peak_memory():
         tracemalloc.stop()
     assert reps.size == 3
     assert peak <= 20 << 20, peak / (1 << 20)
+
+
+def test_orbit_reduce_runs_no_search_below_two_cosets():
+    # a maximal parent (no valid coset) or a single valid coset has no orbit
+    # to merge, so the parent's generators are never asked for: the
+    # canonical cache sees no call at all, hit or miss
+    maximal = load_code("C_{32,9,1}")
+    empty = valid_extension_vectors(maximal, 4)
+    assert empty.size == 0
+    root = rm1_fixed(5)
+    one = valid_extension_vectors(root, 8)[:1]
+    for parent, xs in ((maximal, empty), (root, one)):
+        before = _canonicalize.cache_info()
+        got = _orbit_reduce(parent, xs)
+        after = _canonicalize.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+        assert got.dtype == xs.dtype and got.tolist() == xs.tolist()
 
 
 def test_orbit_reduce_keeps_each_orbit_minimum(reports16):

@@ -55,18 +55,28 @@ def test_src_defines_no_test_only_names():
 
 def test_no_process_loads_openssl():
     # hashlib loads OpenSSL's libcrypto (about 3.6 MiB of RSS); the node
-    # digest and the tables checksum take CPython's builtin hashes instead
+    # digest and the tables checksum take CPython's builtin hashes instead.
+    # numpy.ma (which a plain np.unique imports, about 1.3 MiB) must stay
+    # out of a length-32 extension layer too: the coset filter, orbit
+    # reduction (3 cosets in 2 orbits) and dedupe of a = 4 [32,9] parents,
+    # one of them maximal
     code = (
         "import sys\n"
         "import fourweight\n"
         "from fourweight.catalog import all_ids, load_code\n"
         "from fourweight.canonical import canonical_form\n"
-        "from fourweight.cover import leader_profile\n"
+        "from fourweight.classify import classify_step\n"
+        "from fourweight.cover import leader_profile, valid_extension_vectors\n"
+        "from fourweight.linear import LinearCode\n"
+        "from fourweight.reedmuller import rm1_fixed\n"
         "assert len(all_ids(32)) == 196\n"
         "code = load_code('C_{32,9,1}')\n"
         "canonical_form(code)\n"
         "leader_profile(code)\n"
-        "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+        "sub = LinearCode(32, rm1_fixed(5).row_masks + load_code('C_{32,10,29}').row_masks[:3])\n"
+        "assert sub.k == 9 and valid_extension_vectors(sub, 4).size > 1\n"
+        "assert classify_step([sub, code], 4).classes\n"
+        "print(sorted({'hashlib', '_hashlib', 'numpy.ma'} & set(sys.modules)))\n"
     )
     assert _fresh_stdout(code) == "[]"
 
