@@ -12,10 +12,17 @@ isomorphism II, 2014): a node whose trace exceeds the best leaf's trace
 prefix of the same length is cut.  Equal keys hold exactly for
 equivalent codes; the search realizes the key through an explicit
 witness permutation.
+
+A search's fixed cost is its setup: the code's words are enumerated once
+and sorted by weight once, a rank test that stops at full rank picks the
+refinement words, and one unpack yields both them and the two lightest
+classes whose pair counts refinement also reads.  The basis is unpacked
+once too, so a leaf key is a column gather, one pack and one RREF.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,7 +35,7 @@ except ImportError:
 
 import numpy as np
 
-from fourweight._bits import permute_bits, reduce_mask, rref_masks, span_masks, unpack_bits
+from fourweight._bits import pack_bits, permute_bits, rref_masks, span_masks, unpack_bits
 from fourweight.errors import CapacityError, InputError
 from fourweight.linear import LinearCode
 
@@ -81,23 +88,77 @@ _MIX = _mix_constants(LENGTH_GUARD)
 
 
 def _splitmix(x: np.ndarray) -> np.ndarray:
-    """The splitmix64 finalizer, elementwise: a fixed nonlinear scramble of uint64 values."""
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+    """The splitmix64 finalizer, elementwise and in place: a fixed nonlinear scramble of uint64 values."""
+    t = np.empty_like(x)
+    x ^= np.right_shift(x, np.uint64(30), out=t)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= np.right_shift(x, np.uint64(27), out=t)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= np.right_shift(x, np.uint64(31), out=t)
+    return x
 
 
-def _pair_counts(words: np.ndarray, n: int) -> list[np.ndarray]:
-    """Column co-occurrence counts within each of the two lightest nonzero weight classes.
+def _grow_basis(basis: list[int], words: np.ndarray, k: int) -> None:
+    """Insert words into an XOR basis until it reaches rank k or the words run out.
 
-    Exact in float64 (BLAS; numpy has none for int64): entries are at most 2^DIM_GUARD < 2^53.
+    The basis is kept in decreasing order, so its leading bits are distinct
+    and reducing x by b wherever that lowers x clears b's leading bit.  The
+    words are visited at a golden-ratio stride coprime to their number: in
+    span_masks order a class's first words combine the first rows only, so
+    a spanning class reaches rank k after a few words this way.
     """
+    size = words.size
+    stride = int(size * (5**0.5 - 1) / 2) | 1
+    while math.gcd(stride, size) != 1:
+        stride += 1
+    j = 0
+    for _ in range(size):
+        if len(basis) == k:
+            return
+        x = int(words[j])
+        for b in basis:
+            if x ^ b < x:
+                x ^= b
+        if x:
+            basis.append(x)
+            basis.sort(reverse=True)
+        j = (j + stride) % size
+
+
+def _light_classes(code: LinearCode) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The refinement words' 0/1 coordinates, and the pair counts of the two lightest classes.
+
+    Refinement reads the lightest nonzero weight classes until they hold n
+    words and span the code: a spanning union of weight classes has exactly
+    the code's automorphisms; one that spans a subcode may have many more.
+    The pair counts are the column co-occurrence counts (uint64, n x n)
+    within each of the two lightest classes, zero for a class the code
+    lacks.
+
+    One stable sort puts the words in weight order, where ends[i] closes the
+    i-th class (ends[0] = 1, the zero word).  The rank test stops at rank k,
+    so a spanning class costs a few words; one that does not is walked in
+    full.  One unpack covers that prefix and the two lightest classes.
+    """
+    n = code.n
+    words = span_masks(code.row_masks)
     weights = np.bitwise_count(words)
-    out = []
-    for w in np.flatnonzero(np.bincount(weights))[1:3]:  # weight 0 is the zero word's
-        block = unpack_bits(words[weights == w], n).astype(np.float64)
-        out.append((block.T @ block).astype(np.int64))
-    return out
+    sizes = np.bincount(weights)  # before the argsort: its int64 copy of weights is freed
+    order = np.argsort(weights, kind="stable")
+    ends = np.cumsum(sizes[sizes > 0]).tolist()
+    basis: list[int] = []
+    last = len(ends) - 1
+    for i in range(1, len(ends)):
+        _grow_basis(basis, words[order[ends[i - 1] : ends[i]]], code.k)
+        if len(basis) == code.k and ends[i] > n:
+            last = i
+            break
+    ends += [ends[-1]] * 2  # a class the code lacks reads as empty
+    bits = unpack_bits(words[order[1 : max(ends[last], ends[2])]], n)
+    # float32 BLAS is exact here: every partial sum is at most 2^DIM_GUARD < 2^24.
+    block = bits[: ends[2] - 1].astype(np.float32)
+    counts = [(b.T @ b).astype(np.uint64) for b in (block[: ends[1] - 1], block[ends[1] - 1 :])]
+    return bits[: ends[last] - 1], counts
 
 
 def _individualize(colors: np.ndarray, c: int) -> np.ndarray:
@@ -119,31 +180,15 @@ class _Search:
     """One canonicalization run; collects the best leaf and automorphisms."""
 
     def __init__(self, code: LinearCode):
-        n = code.n
-        words = span_masks(code.row_masks)
-        weights = np.bitwise_count(words)
-        self.n = n
-        self.rows = np.array(code.row_masks, dtype=np.uint64)
-        # Refinement reads the lightest weight classes until they hold n words
-        # and span the code: a spanning union of weight classes has exactly the
-        # code's automorphisms; one that spans a subcode may have many more.
-        take = np.zeros(len(words), dtype=bool)
-        basis: list[int] = []
-        for w in np.flatnonzero(np.bincount(weights))[1:]:
-            take |= weights == w
-            rest = reduce_mask(words[weights == w], basis)
-            while len(basis) < code.k and (rest := rest[rest != 0]).size:
-                basis.append(int(rest[0]))
-                rest = reduce_mask(rest, basis[-1:])
-            if len(basis) == code.k and int(take.sum()) >= n:
-                break
-        self.rbits = unpack_bits(words[take], n).astype(np.uint64)
+        self.n = code.n
+        self.row_bits = unpack_bits(code.row_masks, code.n)
+        rbits, counts = _light_classes(code)
+        self.rbits = rbits.astype(np.uint64)
         self.rbits_t = np.ascontiguousarray(self.rbits.T)
         # Pair counts crack the near-uniform incidence that weight classes
         # leave unrefined; scrambled, pair @ mix[colors] hashes the multiset
         # of (color, both counts) over the columns j' of column j.
-        counts = _pair_counts(words, n) + [np.zeros((n, n), dtype=np.int64)] * 2
-        self.pair = _splitmix(((counts[0] << 32) | counts[1]).astype(np.uint64))
+        self.pair = _splitmix((counts[0] << np.uint64(32)) | counts[1])
         self.best_key: tuple[int, ...] | None = None
         self.best_trace: list[tuple] = []
         self.best_perm: np.ndarray | None = None
@@ -163,13 +208,14 @@ class _Search:
         (n <= LENGTH_GUARD < 64).  Hashes are column-id-free, so cell ids stay
         canonical; the old color leads, so cells split in place; a collision
         can only under-split.  Input colors are dense, so a pass that keeps
-        the cell count is stable.
+        the cell count is stable.  The word hashes are scrambled in place and
+        the pair term is added into the column hashes in place.
         """
         ncol = int(colors.max()) + 1
         while True:
             m = _MIX[colors]
-            whash = self.rbits @ m
-            h = self.rbits_t @ _splitmix(whash) + self.pair @ m
+            h = self.rbits_t @ _splitmix(self.rbits @ m)
+            h += self.pair @ m
             key = (colors.astype(np.uint64) << np.uint64(58)) | (h >> np.uint64(6))
             order = np.argsort(key)
             ordered = key[order]
@@ -184,9 +230,12 @@ class _Search:
             ncol = cells
 
     def _leaf_key(self, colors: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
-        """The RREF of the basis permuted by a discrete coloring, and the permutation."""
+        """The RREF of the basis permuted by a discrete coloring, and the permutation.
+
+        The basis rows were unpacked at setup, so the permutation is a column gather.
+        """
         perm = np.argsort(colors)
-        return rref_masks(permute_bits(self.rows, perm, self.n).tolist(), self.n), perm
+        return rref_masks(pack_bits(self.row_bits[:, perm]).tolist(), self.n), perm
 
     def _fold_orbits(self, parent: list[int], seen: int, path: list[int]) -> int:
         """Union into `parent` the generators from index `seen` on that fix `path`.

@@ -10,6 +10,7 @@ weight l = (n/2a)^2, the predicted weight distribution, and the size
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from fourweight.errors import InputError
 from fourweight.linear import LinearCode, WeightDistribution
@@ -23,8 +24,9 @@ def _log2_exact(n: int) -> int:
     return m
 
 
+@cache
 def reference_rm(m: int) -> LinearCode:
-    """The fixed RM(1,m) copy that condition (2) is checked against."""
+    """The fixed RM(1,m) copy that condition (2) is checked against; built once per m."""
     return rm1_fixed(m) if m in (4, 5) else rm1(m)
 
 

@@ -37,6 +37,15 @@ def a8_chain():
     return chain
 
 
+@pytest.fixture(scope="session")
+def a4_k8_classes():
+    """The 32 classes of the a = 4 branch at length 32 and k = 8."""
+    seeds = [rm1_fixed(5)]
+    for _ in range(2):
+        seeds = [rec.code for rec in classify_step(seeds, 4).classes]
+    return seeds
+
+
 def random_permutation(rng, n):
     perm = list(range(n))
     rng.shuffle(perm)

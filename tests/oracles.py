@@ -5,11 +5,14 @@ radius is a scan of all 2^n vectors, isomorphism a backtracking column
 assignment, and a coordinate permutation moves one bit at a time.  The
 orbit reduction here is the program's earlier loop, which propagated
 labels both ways along each generator, over maps built by its own bit
-moves and coset minima.
+moves and coset minima.  The canonical search's setup is checked against
+the program's earlier one: a rank test that reduces each weight class in
+numpy, one pass per basis vector it adds, and float64 pair counts.
 """
 
 import numpy as np
 
+from fourweight._bits import reduce_mask, span_masks, unpack_bits
 from fourweight.errors import CapacityError
 from fourweight.linear import LinearCode
 
@@ -153,3 +156,40 @@ def orbit_reps_two_way(parent: LinearCode, gens, xs: np.ndarray) -> np.ndarray:
         if np.array_equal(labels, prev):
             break
     return xs[labels == np.arange(xs.size)]
+
+
+def refinement_words_reference(code: LinearCode) -> np.ndarray:
+    """Reference refinement words: the lightest nonzero weight classes until they hold n words and span.
+
+    Each class in turn is reduced against the basis so far, and a nonzero
+    residual joins the basis, until the basis reaches rank k; every class
+    is taken if no prefix qualifies.  The words come in span_masks order.
+    """
+    words = span_masks(code.row_masks)
+    weights = np.bitwise_count(words)
+    take = np.zeros(len(words), dtype=bool)
+    basis: list[int] = []
+    for w in np.flatnonzero(np.bincount(weights))[1:]:
+        take |= weights == w
+        rest = reduce_mask(words[weights == w], basis)
+        while len(basis) < code.k and (rest := rest[rest != 0]).size:
+            basis.append(int(rest[0]))
+            rest = reduce_mask(rest, basis[-1:])
+        if len(basis) == code.k and int(take.sum()) >= code.n:
+            break
+    return words[take]
+
+
+def pair_counts_reference(code: LinearCode) -> list[np.ndarray]:
+    """Reference column co-occurrence counts within each of the two lightest nonzero weight classes.
+
+    Exact in float64: entries are at most 2^k < 2^53.  A class the code
+    lacks has no entry.
+    """
+    words = span_masks(code.row_masks)
+    weights = np.bitwise_count(words)
+    out = []
+    for w in np.flatnonzero(np.bincount(weights))[1:3]:  # weight 0 is the zero word's
+        block = unpack_bits(words[weights == w], code.n).astype(np.float64)
+        out.append((block.T @ block).astype(np.int64))
+    return out

@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fourweight.canonical import (
+    DIM_GUARD,
     _Search,
     _canonicalize,
     _find,
     _individualize,
     _MIX,
+    _light_classes,
     _mix_constants,
-    _pair_counts,
+    _splitmix,
     apply_permutation,
     are_equivalent,
     automorphism_generators,
@@ -24,15 +26,20 @@ from fourweight.canonical import (
 from fourweight import classify
 from fourweight._bits import pack_bits, rref_masks, unpack_bits
 from fourweight.catalog import all_ids, load_code
-from fourweight.classify import _orbit_reduce, classify_all, classify_step
+from fourweight.classify import _orbit_reduce, classify_all
 from fourweight.conditions import require_certificate
 from fourweight.cover import valid_extension_vectors
 from fourweight.errors import CapacityError, InputError
 from fourweight.linear import LinearCode
-from fourweight.reedmuller import rm1, rm1_fixed
+from fourweight.reedmuller import rm1
 
 from conftest import random_permutation
-from oracles import find_isomorphism_bruteforce, permute_words_reference
+from oracles import (
+    find_isomorphism_bruteforce,
+    pair_counts_reference,
+    permute_words_reference,
+    refinement_words_reference,
+)
 
 
 def test_key_invariance_under_permutations(rng, n8_codes, n16_codes):
@@ -127,6 +134,9 @@ def test_zero_dimensional_codes_are_equivalent():
 
 
 def test_pair_counts_match_int64_products():
+    # the counts are float32 products, exact only while every partial sum,
+    # at most 2^k, stays below 2^24, where float32 stops holding every integer
+    assert DIM_GUARD < 24
     codes = [load_code(cid) for cid in all_ids()]
     assert len(codes) == 205
     rng = random.Random(34)
@@ -140,10 +150,72 @@ def test_pair_counts_match_int64_products():
         weights = bits.sum(axis=1)
         classes = sorted(set(weights[weights > 0].tolist()))[:2]
         want = [(b.T @ b) for b in (bits[weights == w].astype(np.int64) for w in classes)]
-        got = _pair_counts(words, code.n)
-        assert len(got) == len(want)
+        got = _light_classes(code)[1]
+        assert len(got) == len(want) == 2
         for g, exp in zip(got, want):
-            assert g.dtype == np.int64 and np.array_equal(g, exp)
+            assert g.dtype == np.uint64 and np.array_equal(g, exp)
+
+
+def _setup_matches_reference(code):
+    """The search's refinement words (as a multiset) and pair matrix against the reference setup."""
+    search = _Search(code)
+    want = refinement_words_reference(code)
+    assert sorted(pack_bits(search.rbits.astype(np.uint8)).tolist()) == sorted(want.tolist())
+    counts = [c.astype(np.uint64) for c in pair_counts_reference(code)]
+    counts += [np.zeros((code.n, code.n), dtype=np.uint64)] * 2
+    assert np.array_equal(search.pair, _splitmix((counts[0] << np.uint64(32)) | counts[1]))
+    return want
+
+
+def test_setup_matches_reference(a4_k8_classes):
+    # the early-exit rank test and the one weight-sorted unpack against the
+    # reduce loop and float64 products they replaced
+    rng = random.Random(35)
+    codes = [load_code(cid) for cid in all_ids()] + a4_k8_classes
+    while len(codes) < 205 + 32 + 3:  # [32,20]: the largest DIM_GUARD allows
+        code = LinearCode(32, [rng.getrandbits(32) for _ in range(20)])
+        if code.k == 20:
+            codes.append(code)
+    for n in (5, 8, 12, 20, 32):
+        for k in (1, 2, n // 3, n // 2):
+            codes.append(LinearCode(n, [rng.getrandbits(n) for _ in range(k)]))
+    # fewer than n nonzero words, so every class is taken; the second code
+    # has a zero coordinate
+    codes += [LinearCode(8, [0b11000000, 0b00111100]), LinearCode(8, [0b11110000, 0b00001110])]
+    taken_whole = short_prefix = 0
+    for code in codes:
+        if code.k == 0:
+            continue
+        want = _setup_matches_reference(code)
+        taken_whole += want.size == (1 << code.k) - 1 < code.n
+        light = [w for w in want.tolist() if w.bit_count() == code.min_weight()]
+        short_prefix += len(rref_masks(light, code.n)) < code.k <= len(rref_masks(want.tolist(), code.n))
+    assert taken_whole >= 2 and short_prefix >= 1
+
+
+def test_splitmix_scrambles_in_place_as_the_reference():
+    rng = random.Random(36)
+    values = [0, 1, 2**63, 2**64 - 1] + [rng.getrandbits(64) for _ in range(300)]
+    x = np.array(values, dtype=np.uint64)
+    assert _splitmix(x) is x
+    assert x.tolist() == [splitmix_reference(v) for v in values]
+
+
+def test_setup_peak_memory_on_random_32_20_code():
+    # enumerating the span peaks at 16 bytes a word; the setup then holds the
+    # words, their weights and one int64 per word at a time (bincount's copy,
+    # then the weight sort).  The reduce-loop setup peaked at 19.03 bytes a word.
+    rng = random.Random(37)
+    code = LinearCode(32, [rng.getrandbits(32) for _ in range(20)])
+    assert code.k == 20
+    tracemalloc.start()
+    try:
+        _Search(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 18 * (1 << code.k), peak / (1 << code.k)
+    assert "_words" not in vars(code)
 
 
 def test_length32_permuted_copy(rng):
@@ -281,14 +353,12 @@ def test_best_path_leads_to_best_leaf():
         assert key == search.best_key and np.array_equal(perm, search.best_perm)
 
 
-def test_a4_class_with_rank7_lightest_words_searches_few_nodes():
+def test_a4_class_with_rank7_lightest_words_searches_few_nodes(a4_k8_classes):
     # among the 32 classes of the a = 4 branch at k = 8, all with one weight
     # distribution, one has 48 weight-12 words spanning only 7 dimensions;
     # refining on them alone left it the automorphisms of that subcode to
     # walk (28,738 nodes)
-    seeds = [rm1_fixed(5)]
-    for _ in range(2):
-        seeds = [rec.code for rec in classify_step(seeds, 4).classes]
+    seeds = a4_k8_classes
     assert len(seeds) == 32
     light = {
         code: [int(w) for w in code.words() if int(w).bit_count() == code.min_weight()]

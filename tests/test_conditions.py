@@ -5,6 +5,7 @@ from fourweight.conditions import (
     admissible_offsets,
     check_conditions,
     expected_distribution,
+    reference_rm,
     require_certificate,
 )
 from fourweight.errors import InputError
@@ -56,6 +57,13 @@ def test_check_conditions_c1661(n16_codes):
 def test_check_conditions_c85(n8_codes):
     cert = require_certificate(n8_codes["C_{8,5}"])
     assert (cert.a, cert.l, cert.qw_set_size) == (2, 4, 2)
+
+
+def test_reference_rm_is_built_once():
+    # check_conditions asks for it once per code; rebuilding rm1_fixed(5)
+    # from its strings each time cost more than the check itself
+    assert reference_rm(5) is reference_rm(5) and reference_rm(5) == rm1_fixed(5)
+    assert reference_rm(3) is reference_rm(3) and reference_rm(3) == rm1(3)
 
 
 def test_check_conditions_rm_fails():
