@@ -30,9 +30,15 @@ EXIT_CAPACITY = 3
 EXIT_INTERNAL = 4
 
 
+def _dump_json(payload: dict, stream) -> None:
+    """Write payload as indented JSON and a newline, piece by piece rather than as one string."""
+    json.dump(payload, stream, indent=2, sort_keys=True)
+    stream.write("\n")
+
+
 def _emit(payload: dict, args, text_lines=None) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _dump_json(payload, sys.stdout)
     else:
         for line in text_lines if text_lines is not None else [json.dumps(payload)]:
             print(line)
@@ -137,7 +143,8 @@ def cmd_quwm(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         for i, mat in enumerate(qs.matrices, start=1):
             (outdir / f"H_{i}.txt").write_text(matrix_to_text(mat))
-        (outdir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        with (outdir / "report.json").open("w") as fh:
+            _dump_json(report, fh)
     _emit(report, args, [
         f"wrote {len(qs)} matrices to {outdir}",
         f"params {qs.params.as_tuple()}, all pairs pass: {ver.all_pass}",
@@ -159,9 +166,8 @@ def cmd_classify(args) -> int:
     if args.out:
         with _writing(args.out) as outdir:
             outdir.mkdir(parents=True, exist_ok=True)
-            (outdir / "classification.json").write_text(
-                json.dumps(payload, indent=2, sort_keys=True) + "\n"
-            )
+            with (outdir / "classification.json").open("w") as fh:
+                _dump_json(payload, fh)
             for rep in reports:
                 for i, rec in enumerate(rep.classes, start=1):
                     (outdir / f"n{rep.n}_k{rep.k}_{i}.code").write_text(rec.code.to_text())

@@ -11,7 +11,10 @@ over the low bits, and the top e unit columns are spent by one
 contiguous pass per bit.  Neither step mixes low columns, so the table is
 built one L2-sized tile of low columns at a time (see leader_weights).
 The covering radius needs only the max, so its sweep holds one tile plus
-scratch and never the table.  Maximality of a qualifying code asks
+scratch and never the table.  It first relabels the syndrome bits so
+that the pivots of the e enumerated columns are the top e bits, which
+keeps every leader weight; then two subsets share a row only when the
+columns are dependent.  Maximality of a qualifying code asks
 whether some coset could extend it within the same weight set; when the
 weight set is doubly even any extension vector must lie in the dual, so
 the scan shrinks to the 2^(n-2k) cosets of C inside C-perp, filtered one
@@ -27,7 +30,9 @@ from functools import cached_property
 
 import numpy as np
 
-from fourweight._bits import SPAN_GUARD, complement_basis, pack_bits, span_masks, unpack_bits
+from fourweight._bits import (
+    SPAN_GUARD, complement_basis, pack_bits, permute_bits, rref_masks, span_masks, unpack_bits,
+)
 from fourweight.conditions import FourWeightCertificate, require_certificate
 from fourweight.errors import CapacityError
 from fourweight.linear import LinearCode, full_space
@@ -72,6 +77,9 @@ def _free_columns(cols: np.ndarray, r: int) -> list[int]:
 def _relaxed_tiles(rest: list[int], r: int, e: int, table: np.ndarray | None = None):
     """Yield (first low column, tile) for each tile of the table over the columns rest[:e].
 
+    Each subset of rest[:e] fills its own row when the top e bits of those
+    columns are independent; otherwise the rows hit more than once take
+    the minimum over rank layers, through spill rows and a row gather.
     Every tile is built in one buffer, which the next tile overwrites.  When
     the whole (2^e, 2^(r-e)) table is one tile and table is given, the tile
     is built in table itself.
@@ -96,7 +104,7 @@ def _relaxed_tiles(rest: list[int], r: int, e: int, table: np.ndarray | None = N
     ]
     # a tile is (2^e rows, 2^tile_bits low columns) = (2^e, na, nb), low = (a, b)
     tile_bits = min(low, LEADER_TILE.bit_length() - 1 - e)
-    half = min(low // 2, tile_bits)
+    half = max(tile_bits - 2, 0)  # pop_b is a quarter tile, so the fill adds long rows
     na, nb = 1 << (tile_bits - half), 1 << half
     pop_a = np.bitwise_count(
         np.arange(1 << (low - half), dtype=np.uint32) ^ ((syn >> half) & ((1 << (low - half)) - 1))[:, None]
@@ -167,19 +175,25 @@ def leader_weights(cols: np.ndarray, r: int) -> np.ndarray:
     stays in a core's L2 cache from its fill through all e passes and is
     then copied into the table once, or is the table when one tile covers
     it; a pass over the whole table would stream 4-32 MiB through memory
-    per bit instead.  The fill adds two
-    small per-syndrome popcount tables, over the high and the low half of
-    the low bits, by broadcasting; a row hit by exactly one subset gets
-    its sum as is.  Rows hit by several subsets (dependent columns) take
-    the minimum over rank layers: layer t holds the t-th subset of every
-    row hit more than t times, so its rows are distinct, and with rows in
-    order of falling multiplicity it lines up with the first rows of layer
-    0.  Equal-size layers are adjacent, and each run of them folds into
-    layer 0 with one min-reduction.  Besides the table, the sweep holds
-    the tile, half a tile of scratch for the passes and, when some row is
+    per bit instead.  The fill adds two per-syndrome popcount tables by
+    broadcasting: one over the low bits of a quarter of a tile row (a
+    quarter tile in all, so that each add writes long contiguous rows) and
+    a small one over the low bits above them; a row hit by exactly one
+    subset gets its sum as is.  Rows hit by several subsets (the first e
+    columns are dependent on their top e bits; the radius sweep relabels
+    the syndrome bits so that this happens only when the columns
+    themselves are dependent) take the minimum over rank layers: layer t
+    holds the t-th subset of every row hit more than t times, so its rows
+    are distinct, and with rows in order of falling multiplicity it lines
+    up with the first rows of layer 0.  Equal-size layers are adjacent,
+    and each run of them folds into layer 0 with one min-reduction.
+    Besides the table, the sweep holds the tile, half a tile of scratch
+    for the passes, the quarter-tile popcount table and, when some row is
     hit more than once, the 2^e candidate rows of one tile.  The covering
-    radius (see leader_profile) runs the same sweep without the table: it
-    holds one tile plus that scratch and keeps only the running max.
+    radius (see leader_profile) runs the same sweep on relabelled syndrome
+    bits without the table: it holds one tile plus that scratch, under two
+    tiles in all when the columns are independent, and keeps only the
+    running max.
     Columns beyond e relax the whole table one pass each,
     dist[s] = min(dist[s], dist[s ^ h] + 1), through a reversed-axis view
     of the 2x...x2 cube, in place and one chunk of half a tile of scratch
@@ -214,6 +228,21 @@ def leader_weights(cols: np.ndarray, r: int) -> np.ndarray:
     return dist
 
 
+def _pivots_on_top(rest: list[int], r: int, e: int) -> list[int]:
+    """rest with the syndrome bits relabelled so that the RREF pivots of rest[:e] are the top bits.
+
+    A permutation of the syndrome bits maps unit syndromes to unit
+    syndromes and keeps every leader weight, so it keeps the radius.  When
+    rest[:e] is independent its top e bits then form an invertible matrix,
+    so each subset of rest[:e] fills a row of its own.
+    """
+    pivots = [r - b.bit_length() for b in rref_masks(rest[:e], r)]
+    order = pivots + [i for i in range(r) if i not in pivots]
+    if order == list(range(r)):
+        return rest
+    return permute_bits(rest, order, r).tolist()
+
+
 def _sweep_radius(cols: np.ndarray, r: int) -> int:
     """max(leader_weights(cols, r)), from one reused tile when no column is left for the cube.
 
@@ -226,7 +255,7 @@ def _sweep_radius(cols: np.ndarray, r: int) -> int:
         assert table[0] == 0
         return int(table.max())
     radius = 0
-    for c0, tile in _relaxed_tiles(rest, r, e):
+    for c0, tile in _relaxed_tiles(_pivots_on_top(rest, r, e), r, e):
         assert c0 or tile[0, 0] == 0
         radius = max(radius, int(tile.max()))
     return radius

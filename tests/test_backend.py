@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fourweight
-from fourweight._bits import complement_basis, span_masks
+from fourweight._bits import complement_basis, permute_bits, span_masks
 from fourweight.catalog import all_ids, load_code
 from fourweight.classify import classify_step
 from fourweight.cover import (
@@ -20,6 +20,8 @@ from fourweight.cover import (
     SYNDROME_GUARD,
     _column_syndromes,
     _extension_blocks,
+    _free_columns,
+    _pivots_on_top,
     _sweep_radius,
     coset_filter,
     leader_profile,
@@ -150,13 +152,12 @@ def whole_table_oracle(cols, r):
     return dist
 
 
-def _leader_regimes(cols, r):
-    """The paths of leader_weights that one input takes."""
-    rest = cols.tolist()
-    for i in range(r):
-        rest.remove(1 << i)
-    rest = [h for h in rest if h]
+def _leader_regimes(cols, r, sweep=False):
+    """The paths of leader_weights, or with sweep of _sweep_radius, that one input takes."""
+    rest = _free_columns(cols, r)
     e = min(len(rest), r, ENUM_CAP)
+    if sweep and len(rest) == e:
+        rest = _pivots_on_top(rest, r, e)
     hits = np.bincount((span_masks(rest[:e]) >> np.uint64(r - e)).astype(np.intp), minlength=1 << e)
     regimes = {
         "r = 0": r == 0,
@@ -318,15 +319,38 @@ def test_coset_filter_peak_memory_within_one_word_oracle():
     assert sieve <= 1.1 * oracle, (sieve, oracle)
 
 
+def _dependent_columns(rng, r, k):
+    """(cols, r) whose non-pivot columns have top e bits in a 2-dimensional span, one repeated and one 0."""
+    e = min(k + 1, r, ENUM_CAP)
+    tops = [rng.getrandbits(e) << (r - e) for _ in range(2)]
+    rest = [rng.choice([0, tops[0], tops[1], tops[0] ^ tops[1]]) | rng.getrandbits(r - e) for _ in range(k)]
+    rest += [rest[0], 0]  # a repeated column and a zero column
+    rng.shuffle(rest)
+    return np.array([1 << i for i in range(r)] + rest, dtype=np.uint64), r
+
+
 def _regime_inputs():
-    """(cols, r) of seeded random codes and table codes that take every path of leader_weights."""
+    """(cols, r) of seeded random and table codes that take every path of leader_weights and the sweep."""
     rng = random.Random(23)
     inputs = [
         _column_syndromes(LinearCode(n, [rng.getrandbits(n) for _ in range(k)]))
         for n, k in ((6, 6), (12, 5), (16, 8), (20, 14), (32, 10), (36, 14))
     ]
     inputs += [_column_syndromes(load_code(cid)) for cid in ("C_{32,9,5}", "C_{32,10,2}", "C_{32,11,1}")]
+    # the relabelled sweep folds rank layers only for dependent columns
+    inputs.append(_dependent_columns(rng, 22, 10))
     return inputs
+
+
+REGIMES = (
+    {"r = 0"},
+    {"one tile", "direct fill"},
+    {"one tile", "rank layers"},
+    {"one tile", "k > cap"},
+    {"several tiles", "direct fill"},
+    {"several tiles", "rank layers"},
+    {"several tiles", "k > cap"},
+)
 
 
 def test_leader_weights_match_whole_table_oracle_in_each_regime():
@@ -334,24 +358,47 @@ def test_leader_weights_match_whole_table_oracle_in_each_regime():
     for cols, r in _regime_inputs():
         seen.append(_leader_regimes(cols, r))
         assert leader_weights(cols, r).tobytes() == whole_table_oracle(cols, r).tobytes()
-    for regime in (
-        {"r = 0"},
-        {"one tile", "direct fill"},
-        {"one tile", "rank layers"},
-        {"one tile", "k > cap"},
-        {"several tiles", "direct fill"},
-        {"several tiles", "rank layers"},
-        {"several tiles", "k > cap"},
-    ):
+    for regime in REGIMES:
         assert any(regime <= got for got in seen), regime
 
 
 def test_sweep_radius_matches_table_max_in_each_regime():
-    regimes = set()
+    seen = []
     for cols, r in _regime_inputs():
-        regimes |= _leader_regimes(cols, r)
+        seen.append(_leader_regimes(cols, r, sweep=True))
         assert _sweep_radius(cols, r) == int(leader_weights(cols, r).max())
-    assert regimes == {"r = 0", "one tile", "several tiles", "direct fill", "rank layers", "k > cap"}
+    for regime in REGIMES:
+        assert any(regime <= got for got in seen), regime
+
+
+def test_syndrome_bit_permutation_keeps_radius_and_permutes_table():
+    rng = random.Random(31)
+    inputs = [_column_syndromes(load_code(cid)) for cid in ("C_{8,6}", "C_{16,6,1}", "C_{16,8,2}")]
+    inputs += [_column_syndromes(LinearCode(16, [rng.getrandbits(16) for _ in range(k)])) for k in (3, 7)]
+    inputs += [_dependent_columns(rng, 14, 5)]
+    for cols, r in inputs:
+        radius, table = _sweep_radius(cols, r), leader_weights(cols, r)
+        syndromes = np.arange(1 << r, dtype=np.uint64)
+        for _ in range(3):
+            order = rng.sample(range(r), r)
+            image = permute_bits(cols, order, r)
+            assert _sweep_radius(image, r) == radius
+            # the coset of syndrome s has syndrome permute_bits(s) in the image
+            moved = np.empty_like(table)
+            moved[permute_bits(syndromes, order, r).astype(np.intp)] = table
+            assert leader_weights(image, r).tobytes() == moved.tobytes()
+
+
+def test_relabelled_sweep_fills_rows_directly_on_table_codes():
+    # each subset of the enumerated columns hits a row of its own, so no
+    # spill rows, folds or row gather; dependent columns still fold
+    direct = 0
+    for cid in all_ids(32):
+        cols, r = _column_syndromes(load_code(cid))
+        direct += _leader_regimes(cols, r, sweep=True) >= {"direct fill", "several tiles"}
+    assert direct == 196
+    assert "rank layers" in _leader_regimes(*_column_syndromes(load_code("C_{8,6}")), sweep=True)
+    assert "rank layers" in _leader_regimes(*_dependent_columns(random.Random(12), 10, 4), sweep=True)
 
 
 def test_sweep_radius_matches_table_max_on_a8_branch():
@@ -366,11 +413,13 @@ def test_sweep_radius_matches_table_max_on_a8_branch():
     assert len(radii) == 6  # RM(1,5) and the 1/1/2/1 classes at k = 7..10
 
 
-def test_sweep_radius_peak_memory_within_three_tiles():
-    # the parent filled the 2^23-byte table to take its max (10.7 MiB traced)
-    code = load_code("C_{32,9,5}")
-    peak = _traced_peak(lambda: leader_profile(code).radius)
-    assert peak <= 3 * LEADER_TILE + (1 << 16), peak
+def test_sweep_radius_peak_memory_within_two_tiles():
+    # filling the 2^23-byte table to take its max took 10.7 MiB traced; with
+    # a spill row per subset for the rank-layer folds the sweep took 2.7 tiles
+    for cid in ("C_{32,9,5}", "C_{32,11,1}"):
+        code = load_code(cid)
+        peak = _traced_peak(lambda: leader_profile(code).radius)
+        assert peak <= 2 * LEADER_TILE, (cid, peak / LEADER_TILE)
 
 
 def test_valid_extension_vectors_match_unblocked_filter():
@@ -460,12 +509,7 @@ def test_leader_weights_match_popcount_relaxation_with_dependent_columns():
     # several subsets share one row of the table with different low parts
     rng = random.Random(12)
     for r, k in ((10, 4), (14, 5), (16, 12), (22, 10)):
-        e = min(k + 1, r, ENUM_CAP)
-        tops = [rng.getrandbits(e) << (r - e) for _ in range(2)]
-        rest = [rng.choice([0, tops[0], tops[1], tops[0] ^ tops[1]]) | rng.getrandbits(r - e) for _ in range(k)]
-        rest += [rest[0], 0]  # a repeated column and a zero column
-        rng.shuffle(rest)
-        cols = np.array([1 << i for i in range(r)] + rest, dtype=np.uint64)
+        cols, r = _dependent_columns(rng, r, k)
         assert "rank layers" in _leader_regimes(cols, r)
         _assert_matches_popcount_relaxation(cols, r)
         assert leader_weights(cols, r).tobytes() == whole_table_oracle(cols, r).tobytes()
@@ -490,7 +534,10 @@ def test_leader_tables_catalog_digest():
     digest = hashlib.sha256()
     for cid in all_ids():
         cols, r = _column_syndromes(load_code(cid))
-        digest.update(leader_weights(cols, r).tobytes())
+        table = leader_weights(cols, r)
+        digest.update(table.tobytes())
+        # the radius sweep, on relabelled syndrome bits, against the pinned table
+        assert _sweep_radius(cols, r) == int(table.max()), cid
     assert digest.hexdigest() == CATALOG_LEADER_SHA256
 
 
