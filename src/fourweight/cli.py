@@ -16,7 +16,7 @@ from pathlib import Path
 from fourweight import catalog
 from fourweight.canonical import equivalence_witness
 from fourweight.classify import classify_all
-from fourweight.conditions import check_conditions
+from fourweight.conditions import check_conditions, require_certificate
 from fourweight.cover import CosetLeaderProfile, is_maximal
 from fourweight.errors import CapacityError, InputError
 from fourweight.linear import LinearCode
@@ -114,10 +114,7 @@ def cmd_covrad(args) -> int:
 
 def cmd_maximal(args) -> int:
     code = LinearCode.from_file(args.code)
-    result = check_conditions(code)
-    if not result.ok:
-        raise InputError("code does not satisfy the conditions: " + "; ".join(result.violations))
-    res = is_maximal(code, result.certificate)
+    res = is_maximal(code, require_certificate(code))
     payload = {
         "maximal": res.maximal,
         "path": res.path,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from fourweight.errors import InputError
-from fourweight.linear import LinearCode, WeightDistribution
+from fourweight.linear import LinearCode, WeightDistribution, full_space
 from fourweight.reedmuller import rm1, rm1_fixed
 
 
@@ -26,7 +26,12 @@ def _log2_exact(n: int) -> int:
 
 @cache
 def reference_rm(m: int) -> LinearCode:
-    """The fixed RM(1,m) copy that condition (2) is checked against; built once per m."""
+    """The fixed RM(1,m) copy that condition (2) is checked against; built once per m.
+
+    RM(1,0) is F_2^1, so a code of length 1 is checked like any other.
+    """
+    if m == 0:
+        return full_space(1)
     return rm1_fixed(m) if m in (4, 5) else rm1(m)
 
 
@@ -177,5 +182,5 @@ def require_certificate(code: LinearCode) -> FourWeightCertificate:
     """check_conditions, raising on failure."""
     result = check_conditions(code)
     if result.certificate is None:
-        raise InputError("; ".join(result.violations))
+        raise InputError("code does not satisfy the conditions: " + "; ".join(result.violations))
     return result.certificate

@@ -8,7 +8,9 @@ dist(s) = min over x of wt(x) + popcount(s ^ Hx).  Popcount is a sum
 over bits, so splitting s into its top e bits and the rest is exact: each
 subset of e coordinates fills one row of the table with its popcount
 over the low bits, and the top e unit columns are spent by one
-contiguous pass per bit.  Neither step mixes low columns, so the table is
+contiguous pass per bit.  The passes relax dist + popcount(row) rather
+than dist, so each takes three ufunc calls, not four, and one subtract
+per tile removes the lift.  Neither step mixes low columns, so the table is
 built one L2-sized tile of low columns at a time (see leader_weights).
 The covering radius needs only the max, so its sweep holds one tile plus
 scratch and never the table.  It first relabels the syndrome bits so
@@ -83,6 +85,17 @@ def _relaxed_tiles(rest: list[int], r: int, e: int, table: np.ndarray | None = N
     Every tile is built in one buffer, which the next tile overwrites.  When
     the whole (2^e, 2^(r-e)) table is one tile and table is given, the tile
     is built in table itself.
+
+    The passes run on u = dist + lift(row), lift(row) = popcount(row), which
+    the fill adds once per subset through pop_b.  For top bit i, with a the
+    rows without the bit and b = a + (1 << i), lift(b) = lift(a) + 1, so
+    dist_a <- min(dist_a, dist_b + 1) and dist_b <- min(dist_b, dist_a + 1)
+    become u_a <- min(u_a, u_b) and u_b <- min(u_b, old u_a + 2): three
+    calls, m = a + 2, a = min(a, b), b = min(b, m).  Both updates keep
+    u >= lift(row), the fill value 64 of rows no subset hits included, so
+    the in-place subtract of lift from each relaxed tile, just before it is
+    yielded, cannot wrap.  No pass raises a value, so lifted values stay at
+    most 64 (at most r + e <= 38 on hit rows) and m at most 66, below 80.
     """
     low = r - e
     # Hx and wt(x) for every subset x of the first e columns (bit j of the
@@ -109,7 +122,9 @@ def _relaxed_tiles(rest: list[int], r: int, e: int, table: np.ndarray | None = N
     pop_a = np.bitwise_count(
         np.arange(1 << (low - half), dtype=np.uint32) ^ ((syn >> half) & ((1 << (low - half)) - 1))[:, None]
     )
-    pop_b = np.bitwise_count(np.arange(nb, dtype=np.uint32) ^ (syn & (nb - 1))[:, None]) + wt[:, None]
+    lift = np.bitwise_count(np.arange(1 << e, dtype=np.uint32))  # popcount(row), the potential
+    lifted = wt + lift[rows]  # wt(x) + popcount(row) per subset
+    pop_b = np.bitwise_count(np.arange(nb, dtype=np.uint32) ^ (syn & (nb - 1))[:, None]) + lifted[:, None]
     direct = not groups  # every row hit once, in row order
     # one buffer for the tile, half a tile of pass scratch and the spill rows:
     # as three, glibc's malloc handed them back to the OS after each sweep and
@@ -144,10 +159,10 @@ def _relaxed_tiles(rest: list[int], r: int, e: int, table: np.ndarray | None = N
             pair = flat.reshape(-1, 2, tile.shape[1] << i)
             a, b = pair[:, 0], pair[:, 1]
             m = scratch[: a.size].reshape(a.shape)
-            np.minimum(a, b, out=m)
-            np.add(m, 1, out=m)
-            np.minimum(a, m, out=a)
+            np.add(a, 2, out=m)
+            np.minimum(a, b, out=a)
             np.minimum(b, m, out=b)
+        np.subtract(tile, lift[:, None], out=tile)
         yield c0, tile
 
 
@@ -168,7 +183,12 @@ def leader_weights(cols: np.ndarray, r: int) -> np.ndarray:
     Each of the 2^e subsets of the first e columns therefore fills the
     row Hx_row with wt(x) + popcount(low ^ Hx_low), and the top e unit
     columns are then spent by one half-block pass per bit, which pairs
-    rows only, never low columns.
+    rows only, never low columns.  The fill adds popcount(row) as well, so
+    each pass relaxes u = dist + popcount(row) in three ufunc calls,
+    u_a = min(u_a, u_b) and u_b = min(u_b, u_a + 2) for the rows a without
+    the bit and b with it; u >= popcount(row) throughout, and one in-place
+    subtract per tile, after its last pass, gives back dist (see
+    _relaxed_tiles).
 
     So the table is built one tile at a time: all 2^e rows times a block
     of low columns, one contiguous buffer of LEADER_TILE bytes.  A tile
@@ -198,7 +218,9 @@ def leader_weights(cols: np.ndarray, r: int) -> np.ndarray:
     dist[s] = min(dist[s], dist[s ^ h] + 1), through a reversed-axis view
     of the 2x...x2 cube, in place and one chunk of half a tile of scratch
     at a time; that happens only for k > min(r, ENUM_CAP) and needs no
-    more memory.  The fill value 64 leaves room for the + 1 in uint8.
+    more memory.  Rows that no subset hits are filled with 64, above any
+    lifted value of a hit row; no pass raises a value, so the + 2 of a pass
+    reaches at most 64 + 2 and every lifted value stays below 80 in uint8.
     """
     rest = _free_columns(cols, r)
     e = min(len(rest), r, ENUM_CAP)

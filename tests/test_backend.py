@@ -22,6 +22,7 @@ from fourweight.cover import (
     _extension_blocks,
     _free_columns,
     _pivots_on_top,
+    _relaxed_tiles,
     _sweep_radius,
     coset_filter,
     leader_profile,
@@ -339,6 +340,8 @@ def _regime_inputs():
     inputs += [_column_syndromes(load_code(cid)) for cid in ("C_{32,9,5}", "C_{32,10,2}", "C_{32,11,1}")]
     # the relabelled sweep folds rank layers only for dependent columns
     inputs.append(_dependent_columns(rng, 22, 10))
+    # e = ENUM_CAP on dependent columns: most rows are hit by no subset
+    inputs.append(_dependent_columns(rng, 16, ENUM_CAP - 1))
     return inputs
 
 
@@ -360,6 +363,34 @@ def test_leader_weights_match_whole_table_oracle_in_each_regime():
         assert leader_weights(cols, r).tobytes() == whole_table_oracle(cols, r).tobytes()
     for regime in REGIMES:
         assert any(regime <= got for got in seen), regime
+
+
+def test_relaxed_tiles_match_whole_table_oracle_tile_by_tile():
+    # the lifted passes against the oracle's four-call passes on dist; the
+    # oracle gets the enumerated columns alone, so it runs no cube passes
+    unhit_at_cap = 0
+    for cols, r in _regime_inputs():
+        rest = _free_columns(cols, r)
+        e = min(len(rest), r, ENUM_CAP)
+        units = [1 << i for i in range(r)]
+        for head in (rest[:e], _pivots_on_top(rest[:e], r, e)):
+            oracle = whole_table_oracle(np.array(units + head, dtype=np.uint64), r).reshape(1 << e, -1)
+            width = 0
+            for c0, tile in _relaxed_tiles(head, r, e):
+                assert c0 == width
+                assert tile.tobytes() == oracle[:, c0 : c0 + tile.shape[1]].tobytes()
+                width += tile.shape[1]
+            assert width == 1 << (r - e)
+            if (1 << r) <= LEADER_TILE:
+                # one tile, built in the table itself: the lift is removed exactly once
+                table = np.full_like(oracle, 255)
+                tiles = list(_relaxed_tiles(head, r, e, table))
+                assert len(tiles) == 1 and tiles[0][1] is table
+                assert table.tobytes() == oracle.tobytes()
+            hit = span_masks(head) >> np.uint64(r - e)
+            # the all-ones row holds the fill value 64 against a lift of e = 12
+            unhit_at_cap += e == ENUM_CAP and (1 << e) - 1 not in hit.tolist()
+    assert unhit_at_cap
 
 
 def test_sweep_radius_matches_table_max_in_each_regime():

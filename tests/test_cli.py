@@ -156,6 +156,31 @@ def test_maximal_rejects_nonqualifying(capsys, code_file):
     assert status == 2
 
 
+@pytest.mark.parametrize(
+    "code, c2",
+    [
+        (LinearCode(1), False),
+        (LinearCode(1, [1]), True),  # F_2^1 is RM(1,0)
+        (LinearCode(2, [0b11]), False),
+        (LinearCode(2, [0b01, 0b10]), True),
+    ],
+)
+def test_lengths_1_and_2_fail_the_conditions(capsys, code_file, tmp_path, code, c2):
+    path = code_file(code)
+    status, out, _ = run_cli(capsys, "--format", "json", "check", path)
+    assert status == 1
+    payload = json.loads(out)
+    validate(payload, "check")
+    assert payload["conditions"] == {"c1": False, "c2": c2}
+    assert len(payload["violations"]) == 1 + (not c2)
+    assert "weight set" in payload["violations"][0]
+    for argv in (("maximal", path), ("quwm", "--code", path, "--out", str(tmp_path / "q"))):
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 2 and out == ""
+        assert err.startswith("error: code does not satisfy the conditions: condition (1)")
+    assert not (tmp_path / "q").exists()
+
+
 def test_quwm_writes_matrices(capsys, code_file, tmp_path):
     path = code_file("C_{16,8,1}")
     outdir = tmp_path / "quwm"
