@@ -4,25 +4,26 @@ The coset-leader table holds one byte for each of the 2^(n-k) syndromes,
 instead of scanning 2^n vectors.  The n-k pivot coordinates of the dual
 basis have the unit syndromes, so a leader spends some subset x of the k
 other coordinates plus unit columns, and the least leader weight is
-dist(s) = min over x of wt(x) + popcount(s ^ Hx).  Popcount is a sum
-over bits, so splitting s into its top e bits and the rest is exact: each
-subset of e coordinates fills one row of the table with its popcount
+dist(s) = min over x of wt(x) + popcount(s ^ Hx).  The sweep relabels the
+syndrome bits so that the pivots of up to ENUM_CAP independent columns
+are the top e bits, which keeps every leader weight.  Popcount is a sum
+over bits, so splitting s into its top e bits and the rest is exact:
+each subset of those e columns fills a row of its own with its popcount
 over the low bits, and the top e unit columns are spent by one
 contiguous pass per bit.  The passes relax dist + popcount(row) rather
 than dist, so each takes three ufunc calls, not four, and one subtract
-per tile removes the lift.  Neither step mixes low columns, so the table is
-built one L2-sized tile of low columns at a time (see leader_weights).
-The covering radius needs only the max, so its sweep holds one tile plus
-scratch and never the table.  It first relabels the syndrome bits so
-that the pivots of the e enumerated columns are the top e bits, which
-keeps every leader weight; then two subsets share a row only when the
-columns are dependent.  Maximality of a qualifying code asks
-whether some coset could extend it within the same weight set; when the
-weight set is doubly even any extension vector must lie in the dual, so
-the scan shrinks to the 2^(n-2k) cosets of C inside C-perp, filtered one
-block of REP_BLOCK representatives at a time.  The filter is a sieve whose
-steps test popcounts by equality against the allowed weights and compact
-the surviving representatives by index (see coset_filter).
+per tile removes the lift.  Neither step mixes low columns, so the table
+is built one L2-sized tile of low columns at a time (see leader_weights);
+the other columns, dependent or beyond the cap, then relax the whole
+table one pass each.  The covering radius needs only the max, so when no
+column is left over its sweep holds one tile plus scratch and never the
+table.  Maximality of a qualifying code asks whether some coset could
+extend it within the same weight set; when the weight set is doubly even
+any extension vector must lie in the dual, so the scan shrinks to the
+2^(n-2k) cosets of C inside C-perp, filtered one block of REP_BLOCK
+representatives at a time.  The filter is a sieve whose steps test
+popcounts by equality against the allowed weights and compact the
+surviving representatives by index (see coset_filter).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from fourweight._bits import (
-    SPAN_GUARD, complement_basis, pack_bits, permute_bits, rref_masks, span_masks, unpack_bits,
+    SPAN_GUARD, complement_basis, pack_bits, permute_bits, span_masks, unpack_bits,
 )
 from fourweight.conditions import FourWeightCertificate, require_certificate
 from fourweight.errors import CapacityError
@@ -76,15 +77,38 @@ def _free_columns(cols: np.ndarray, r: int) -> list[int]:
     return [h for h in rest if h]
 
 
-def _relaxed_tiles(rest: list[int], r: int, e: int, table: np.ndarray | None = None):
-    """Yield (first low column, tile) for each tile of the table over the columns rest[:e].
+def _split_columns(rest: list[int], r: int) -> tuple[list[int], list[int], list[int]]:
+    """(head, tail, order): up to ENUM_CAP independent columns of rest, relabelled, and the others.
 
-    Each subset of rest[:e] fills its own row when the top e bits of those
-    columns are independent; otherwise the rows hit more than once take
-    the minimum over rank layers, through spill rows and a row gather.
-    Every tile is built in one buffer, which the next tile overwrites.  When
-    the whole (2^e, 2^(r-e)) table is one tile and table is given, the tile
-    is built in table itself.
+    A greedy XOR basis takes independent columns in turn into the head
+    while it holds fewer than ENUM_CAP; the others go to the tail, on the
+    original syndrome bits.  order relabels the bits (as in permute_bits)
+    so that the head's echelon pivots are the top e bits, whose e x e block
+    is then invertible.  It maps unit syndromes to unit syndromes, so it
+    keeps every leader weight and only permutes the table.
+    """
+    # each basis word lacks the leading bits of earlier ones: one pass reduces x
+    head, tail, basis = [], [], []
+    for h in rest:
+        x = h
+        for b in basis:
+            x = min(x, x ^ b)  # clears b's leading bit when x has it
+        if x and len(head) < ENUM_CAP:
+            basis.append(x)
+            head.append(h)
+        else:
+            tail.append(h)
+    pivots = sorted(r - b.bit_length() for b in basis)
+    order = pivots + [i for i in range(r) if i not in pivots]
+    return permute_bits(head, order, r).tolist(), tail, order
+
+
+def _relaxed_tiles(head: list[int], r: int):
+    """Yield (first low column, tile) for each tile of the table over the e columns head.
+
+    The top e bits of head are independent (see _split_columns), so each
+    subset fills a row of its own.  Every tile is built in one buffer,
+    which the next tile overwrites.
 
     The passes run on u = dist + lift(row), lift(row) = popcount(row), which
     the fill adds once per subset through pop_b.  For top bit i, with a the
@@ -92,29 +116,19 @@ def _relaxed_tiles(rest: list[int], r: int, e: int, table: np.ndarray | None = N
     dist_a <- min(dist_a, dist_b + 1) and dist_b <- min(dist_b, dist_a + 1)
     become u_a <- min(u_a, u_b) and u_b <- min(u_b, old u_a + 2): three
     calls, m = a + 2, a = min(a, b), b = min(b, m).  Both updates keep
-    u >= lift(row), the fill value 64 of rows no subset hits included, so
-    the in-place subtract of lift from each relaxed tile, just before it is
-    yielded, cannot wrap.  No pass raises a value, so lifted values stay at
-    most 64 (at most r + e <= 38 on hit rows) and m at most 66, below 80.
+    u >= lift(row), so the in-place subtract of lift from each relaxed
+    tile, just before it is yielded, cannot wrap.  The fill gives at most
+    wt(x) + (r - e) + lift(row) <= r + e <= 38 and no pass raises a value,
+    so m stays at most 40 in uint8.
     """
+    e = len(head)
     low = r - e
-    # Hx and wt(x) for every subset x of the first e columns (bit j of the
-    # index selects column j), ordered by (rank layer, falling multiplicity, row)
-    syn = span_masks(rest[:e])
+    # Hx and wt(x) for every subset x of head (bit j of the index selects
+    # column j), in row order: the top e bits of Hx are a permutation
+    syn = span_masks(head)
     wt = np.bitwise_count(np.arange(syn.size, dtype=np.uint64))
-    rows = (syn >> np.uint64(low)).astype(np.intp)
-    order = np.argsort(rows, kind="stable")
-    syn, wt, rows = syn[order], wt[order], rows[order]
-    counts = np.bincount(rows)
-    rank = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    order = np.lexsort((rows, -np.repeat(counts, counts), rank))
-    syn, wt, rows = syn[order].astype(np.uint32), wt[order], rows[order]
-    sizes = np.bincount(rank)  # layer sizes, falling; equal ones are adjacent
-    ends = np.cumsum(sizes)
-    groups = [  # (offset, layers, rows) of each run of equal-size layers after layer 0
-        (int(ends[t]), int(q), int(n))
-        for n, t, q in zip(*np.unique(sizes[1:], return_index=True, return_counts=True))
-    ]
+    by_row = np.argsort(syn >> np.uint64(low))
+    syn, wt = syn[by_row].astype(np.uint32), wt[by_row]
     # a tile is (2^e rows, 2^tile_bits low columns) = (2^e, na, nb), low = (a, b)
     tile_bits = min(low, LEADER_TILE.bit_length() - 1 - e)
     half = max(tile_bits - 2, 0)  # pop_b is a quarter tile, so the fill adds long rows
@@ -123,37 +137,18 @@ def _relaxed_tiles(rest: list[int], r: int, e: int, table: np.ndarray | None = N
         np.arange(1 << (low - half), dtype=np.uint32) ^ ((syn >> half) & ((1 << (low - half)) - 1))[:, None]
     )
     lift = np.bitwise_count(np.arange(1 << e, dtype=np.uint32))  # popcount(row), the potential
-    lifted = wt + lift[rows]  # wt(x) + popcount(row) per subset
+    lifted = wt + lift  # wt(x) + popcount(row) per subset, in row order
     pop_b = np.bitwise_count(np.arange(nb, dtype=np.uint32) ^ (syn & (nb - 1))[:, None]) + lifted[:, None]
-    direct = not groups  # every row hit once, in row order
-    # one buffer for the tile, half a tile of pass scratch and the spill rows:
-    # as three, glibc's malloc handed them back to the OS after each sweep and
-    # the next sweep faulted them in again (3x the page faults on verify32)
+    # one buffer for the tile and half a tile of pass scratch: as two,
+    # glibc's malloc handed them back to the OS after each sweep and the
+    # next sweep faulted them in again (3x the page faults on verify32)
     size = 1 << (e + tile_bits)
-    own = 0 if table is not None and tile_bits == low else size  # bytes of work for the tile
-    work = np.empty(own + size // 2 + (0 if direct else (rows.size + 1) * na * nb), dtype=np.uint8)
-    tile = work[:own].reshape(1 << e, 1 << tile_bits) if own else table
-    cells = tile.reshape(1 << e, na, nb)
-    scratch = work[own : own + size // 2]
-    if direct:
-        cand = cells
-    else:
-        # the syndromes' candidates, then one row of 64 for the rows none hits
-        spill = work[own + size // 2 :].reshape(rows.size + 1, na, nb)
-        spill[-1] = 64
-        cand = spill[:-1]
-        source = np.full(1 << e, rows.size)
-        source[rows[: sizes[0]]] = np.arange(sizes[0])
+    work = np.empty(size + size // 2, dtype=np.uint8)
+    tile = work[:size].reshape(1 << e, 1 << tile_bits)
+    scratch = work[size:]
     for c0 in range(0, 1 << low, tile.shape[1]):
         a0 = c0 >> half
-        np.add(pop_a[:, a0 : a0 + na, None], pop_b[:, None, :], out=cand)
-        for off, q, n in groups:
-            fold = scratch[: n * na * nb].reshape(n, na, nb)
-            np.minimum.reduce(cand[off : off + q * n].reshape(q, n, na, nb), axis=0, out=fold)
-            np.minimum(cand[:n], fold, out=cand[:n])
-        if not direct:
-            # every index is in range; mode="raise" would buffer out
-            np.take(spill, source, axis=0, out=cells, mode="clip")
+        np.add(pop_a[:, a0 : a0 + na, None], pop_b[:, None, :], out=tile.reshape(1 << e, na, nb))
         flat = tile.reshape(-1)
         for i in range(e):
             pair = flat.reshape(-1, 2, tile.shape[1] << i)
@@ -177,61 +172,45 @@ def leader_weights(cols: np.ndarray, r: int) -> np.ndarray:
 
         dist(s) = min over subsets x of wt(x) + popcount(s ^ Hx).
 
-    Popcount is a sum over bits, so it splits exactly at any bit: with s
-    as (row, low) = (top e bits, low R = r - e bits),
-    popcount(s ^ Hx) = popcount(row ^ Hx_row) + popcount(low ^ Hx_low).
-    Each of the 2^e subsets of the first e columns therefore fills the
-    row Hx_row with wt(x) + popcount(low ^ Hx_low), and the top e unit
-    columns are then spent by one half-block pass per bit, which pairs
-    rows only, never low columns.  The fill adds popcount(row) as well, so
-    each pass relaxes u = dist + popcount(row) in three ufunc calls,
-    u_a = min(u_a, u_b) and u_b = min(u_b, u_a + 2) for the rows a without
-    the bit and b with it; u >= popcount(row) throughout, and one in-place
-    subtract per tile, after its last pass, gives back dist (see
-    _relaxed_tiles).
+    The h's split into a head of e <= ENUM_CAP independent columns, on
+    syndrome bits relabelled so that their pivots are the top e bits, and
+    a tail of the others (see _split_columns).  Popcount is a sum over
+    bits, so with s as (row, low) = (top e bits, low r - e bits),
+    popcount(s ^ Hx) = popcount(row ^ Hx_row) + popcount(low ^ Hx_low):
+    each of the 2^e subsets x of the head fills its own row Hx_row with
+    wt(x) + popcount(low ^ Hx_low), and the top e unit columns are then
+    spent by one half-block pass per bit, which pairs rows only, never low
+    columns (see _relaxed_tiles for the lift that makes a pass three calls).
 
     So the table is built one tile at a time: all 2^e rows times a block
     of low columns, one contiguous buffer of LEADER_TILE bytes.  A tile
-    stays in a core's L2 cache from its fill through all e passes and is
-    then copied into the table once, or is the table when one tile covers
-    it; a pass over the whole table would stream 4-32 MiB through memory
-    per bit instead.  The fill adds two per-syndrome popcount tables by
-    broadcasting: one over the low bits of a quarter of a tile row (a
-    quarter tile in all, so that each add writes long contiguous rows) and
-    a small one over the low bits above them; a row hit by exactly one
-    subset gets its sum as is.  Rows hit by several subsets (the first e
-    columns are dependent on their top e bits; the radius sweep relabels
-    the syndrome bits so that this happens only when the columns
-    themselves are dependent) take the minimum over rank layers: layer t
-    holds the t-th subset of every row hit more than t times, so its rows
-    are distinct, and with rows in order of falling multiplicity it lines
-    up with the first rows of layer 0.  Equal-size layers are adjacent,
-    and each run of them folds into layer 0 with one min-reduction.
-    Besides the table, the sweep holds the tile, half a tile of scratch
-    for the passes, the quarter-tile popcount table and, when some row is
-    hit more than once, the 2^e candidate rows of one tile.  The covering
-    radius (see leader_profile) runs the same sweep on relabelled syndrome
-    bits without the table: it holds one tile plus that scratch, under two
-    tiles in all when the columns are independent, and keeps only the
-    running max.
-    Columns beyond e relax the whole table one pass each,
+    stays in a core's L2 cache from its fill through all e passes; a pass
+    over the whole table would stream 4-32 MiB through memory per bit
+    instead.  Each tile is then written once into the table, in syndrome
+    index order through the transposed (2,)*r view, so undoing the
+    relabelling needs no second 2^r-byte buffer.  The fill adds two
+    per-syndrome popcount tables by broadcasting: one over the low bits of
+    a quarter of a tile row (a quarter tile, so that each add writes long
+    contiguous rows) and a small one over the low bits above them.  Besides
+    the table, the sweep holds the tile, half a tile of pass scratch and
+    that quarter tile; the covering radius (see leader_profile) runs it
+    without the table when the tail is empty, as on every table code.
+    The tail columns then relax the whole table one pass each,
     dist[s] = min(dist[s], dist[s ^ h] + 1), through a reversed-axis view
     of the 2x...x2 cube, in place and one chunk of half a tile of scratch
-    at a time; that happens only for k > min(r, ENUM_CAP) and needs no
-    more memory.  Rows that no subset hits are filled with 64, above any
-    lifted value of a hit row; no pass raises a value, so the + 2 of a pass
-    reaches at most 64 + 2 and every lifted value stays below 80 in uint8.
+    at a time, which needs no more memory.
     """
-    rest = _free_columns(cols, r)
-    e = min(len(rest), r, ENUM_CAP)
-    table = np.empty((1 << e, 1 << (r - e)), dtype=np.uint8)
-    for c0, tile in _relaxed_tiles(rest, r, e, table):
-        if tile is not table:
-            table[:, c0 : c0 + tile.shape[1]] = tile
+    head, tail, order = _split_columns(_free_columns(cols, r), r)
+    e = len(head)
+    dist = np.empty(1 << r, dtype=np.uint8)
+    cube = dist.reshape((2,) * r)
+    relabelled = cube.transpose(order)  # indexed by relabelled syndrome bits
+    for c0, tile in _relaxed_tiles(head, r):
+        free = tile.shape[1].bit_length() - 1  # low bits that vary within the tile
+        fixed = tuple((c0 >> (r - e - 1 - j)) & 1 for j in range(r - e - free))  # the others, c0's
+        relabelled[(slice(None),) * e + fixed] = tile.reshape((2,) * (e + free))
     del tile  # else it keeps the sweep's buffer alive through the cube passes
-    dist = table.reshape(-1)
-    if len(rest) > e:
-        cube = dist.reshape((2,) * r)
+    if tail:
         # in place, one chunk of the scratch at a time: where s ^ h is already
         # relaxed it holds min(d[s ^ h], d[s] + 1), and min(d[s], that + 1)
         # is still min(d[s], d[s ^ h] + 1)
@@ -240,7 +219,7 @@ def leader_weights(cols: np.ndarray, r: int) -> np.ndarray:
         m = scratch.reshape((1,) * lead + (2,) * (r - lead))
         flip = slice(None, None, -1)
         keep = slice(None)
-        for h in rest[e:]:
+        for h in tail:
             view = cube[tuple(flip if (h >> (r - 1 - i)) & 1 else keep for i in range(r))]
             for idx in np.ndindex((2,) * lead):
                 # slices, not indices, so that r = 1 keeps views rather than scalars
@@ -250,34 +229,15 @@ def leader_weights(cols: np.ndarray, r: int) -> np.ndarray:
     return dist
 
 
-def _pivots_on_top(rest: list[int], r: int, e: int) -> list[int]:
-    """rest with the syndrome bits relabelled so that the RREF pivots of rest[:e] are the top bits.
-
-    A permutation of the syndrome bits maps unit syndromes to unit
-    syndromes and keeps every leader weight, so it keeps the radius.  When
-    rest[:e] is independent its top e bits then form an invertible matrix,
-    so each subset of rest[:e] fills a row of its own.
-    """
-    pivots = [r - b.bit_length() for b in rref_masks(rest[:e], r)]
-    order = pivots + [i for i in range(r) if i not in pivots]
-    if order == list(range(r)):
-        return rest
-    return permute_bits(rest, order, r).tolist()
-
-
 def _sweep_radius(cols: np.ndarray, r: int) -> int:
-    """max(leader_weights(cols, r)), from one reused tile when no column is left for the cube.
-
-    Checks on the way that syndrome 0 has leader weight 0.
-    """
-    rest = _free_columns(cols, r)
-    e = min(len(rest), r, ENUM_CAP)
-    if len(rest) > e:  # the cube passes relax the whole table
+    """max(leader_weights(cols, r)), from one reused tile when the tail is empty; checks dist(0) = 0."""
+    head, tail, _ = _split_columns(_free_columns(cols, r), r)
+    if tail:  # the cube passes relax the whole table
         table = leader_weights(cols, r)
         assert table[0] == 0
         return int(table.max())
     radius = 0
-    for c0, tile in _relaxed_tiles(_pivots_on_top(rest, r, e), r, e):
+    for c0, tile in _relaxed_tiles(head, r):
         assert c0 or tile[0, 0] == 0
         radius = max(radius, int(tile.max()))
     return radius

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fourweight
-from fourweight._bits import complement_basis, permute_bits, span_masks
+from fourweight._bits import complement_basis, permute_bits, rref_masks, span_masks
 from fourweight.catalog import all_ids, load_code
 from fourweight.classify import classify_step
 from fourweight.cover import (
@@ -21,8 +21,8 @@ from fourweight.cover import (
     _column_syndromes,
     _extension_blocks,
     _free_columns,
-    _pivots_on_top,
     _relaxed_tiles,
+    _split_columns,
     _sweep_radius,
     coset_filter,
     leader_profile,
@@ -153,19 +153,22 @@ def whole_table_oracle(cols, r):
     return dist
 
 
-def _leader_regimes(cols, r, sweep=False):
-    """The paths of leader_weights, or with sweep of _sweep_radius, that one input takes."""
+def _unrelabelled(head, order, r):
+    """The head columns of _split_columns on the original syndrome bits."""
+    return permute_bits(head, np.argsort(order), r).tolist()
+
+
+def _leader_regimes(cols, r):
+    """The paths of leader_weights and _sweep_radius that one input takes."""
     rest = _free_columns(cols, r)
-    e = min(len(rest), r, ENUM_CAP)
-    if sweep and len(rest) == e:
-        rest = _pivots_on_top(rest, r, e)
-    hits = np.bincount((span_masks(rest[:e]) >> np.uint64(r - e)).astype(np.intp), minlength=1 << e)
+    head, tail, order = _split_columns(rest, r)
+    span = _unrelabelled(head, order, r)
     regimes = {
         "r = 0": r == 0,
         "one tile": 0 < r and (1 << r) <= LEADER_TILE,
         "several tiles": (1 << r) > LEADER_TILE,
-        "direct fill": bool((hits == 1).all()),
-        "rank layers": int(hits.max()) > 1,
+        "no tail": not tail,
+        "dependent tail": any(len(rref_masks(span + [h], r)) == len(head) for h in tail),
         "k > cap": len(rest) > ENUM_CAP,
     }
     return {name for name, taken in regimes.items() if taken}
@@ -338,20 +341,19 @@ def _regime_inputs():
         for n, k in ((6, 6), (12, 5), (16, 8), (20, 14), (32, 10), (36, 14))
     ]
     inputs += [_column_syndromes(load_code(cid)) for cid in ("C_{32,9,5}", "C_{32,10,2}", "C_{32,11,1}")]
-    # the relabelled sweep folds rank layers only for dependent columns
+    # dependent columns, which go to the tail, on several tiles and on one
     inputs.append(_dependent_columns(rng, 22, 10))
-    # e = ENUM_CAP on dependent columns: most rows are hit by no subset
     inputs.append(_dependent_columns(rng, 16, ENUM_CAP - 1))
     return inputs
 
 
 REGIMES = (
     {"r = 0"},
-    {"one tile", "direct fill"},
-    {"one tile", "rank layers"},
+    {"one tile", "no tail"},
+    {"one tile", "dependent tail"},
     {"one tile", "k > cap"},
-    {"several tiles", "direct fill"},
-    {"several tiles", "rank layers"},
+    {"several tiles", "no tail"},
+    {"several tiles", "dependent tail"},
     {"several tiles", "k > cap"},
 )
 
@@ -367,36 +369,24 @@ def test_leader_weights_match_whole_table_oracle_in_each_regime():
 
 def test_relaxed_tiles_match_whole_table_oracle_tile_by_tile():
     # the lifted passes against the oracle's four-call passes on dist; the
-    # oracle gets the enumerated columns alone, so it runs no cube passes
-    unhit_at_cap = 0
+    # oracle gets the relabelled head alone, so it runs no cube passes
     for cols, r in _regime_inputs():
-        rest = _free_columns(cols, r)
-        e = min(len(rest), r, ENUM_CAP)
+        head = _split_columns(_free_columns(cols, r), r)[0]
+        e = len(head)
         units = [1 << i for i in range(r)]
-        for head in (rest[:e], _pivots_on_top(rest[:e], r, e)):
-            oracle = whole_table_oracle(np.array(units + head, dtype=np.uint64), r).reshape(1 << e, -1)
-            width = 0
-            for c0, tile in _relaxed_tiles(head, r, e):
-                assert c0 == width
-                assert tile.tobytes() == oracle[:, c0 : c0 + tile.shape[1]].tobytes()
-                width += tile.shape[1]
-            assert width == 1 << (r - e)
-            if (1 << r) <= LEADER_TILE:
-                # one tile, built in the table itself: the lift is removed exactly once
-                table = np.full_like(oracle, 255)
-                tiles = list(_relaxed_tiles(head, r, e, table))
-                assert len(tiles) == 1 and tiles[0][1] is table
-                assert table.tobytes() == oracle.tobytes()
-            hit = span_masks(head) >> np.uint64(r - e)
-            # the all-ones row holds the fill value 64 against a lift of e = 12
-            unhit_at_cap += e == ENUM_CAP and (1 << e) - 1 not in hit.tolist()
-    assert unhit_at_cap
+        oracle = whole_table_oracle(np.array(units + head, dtype=np.uint64), r).reshape(1 << e, -1)
+        width = 0
+        for c0, tile in _relaxed_tiles(head, r):
+            assert c0 == width
+            assert tile.tobytes() == oracle[:, c0 : c0 + tile.shape[1]].tobytes()
+            width += tile.shape[1]
+        assert width == 1 << (r - e)
 
 
 def test_sweep_radius_matches_table_max_in_each_regime():
     seen = []
     for cols, r in _regime_inputs():
-        seen.append(_leader_regimes(cols, r, sweep=True))
+        seen.append(_leader_regimes(cols, r))
         assert _sweep_radius(cols, r) == int(leader_weights(cols, r).max())
     for regime in REGIMES:
         assert any(regime <= got for got in seen), regime
@@ -421,15 +411,38 @@ def test_syndrome_bit_permutation_keeps_radius_and_permutes_table():
 
 
 def test_relabelled_sweep_fills_rows_directly_on_table_codes():
-    # each subset of the enumerated columns hits a row of its own, so no
-    # spill rows, folds or row gather; dependent columns still fold
-    direct = 0
-    for cid in all_ids(32):
-        cols, r = _column_syndromes(load_code(cid))
-        direct += _leader_regimes(cols, r, sweep=True) >= {"direct fill", "several tiles"}
-    assert direct == 196
-    assert "rank layers" in _leader_regimes(*_column_syndromes(load_code("C_{8,6}")), sweep=True)
-    assert "rank layers" in _leader_regimes(*_dependent_columns(random.Random(12), 10, 4), sweep=True)
+    # every column of the table codes and of the a = 8 chain is in the
+    # head, so the radius sweep holds tiles only and no table
+    codes = [load_code(cid) for cid in all_ids(32)]
+    assert len(codes) == 196
+    seeds = [rm1_fixed(5)]
+    while seeds:
+        codes += seeds
+        seeds = [rec.code for rec in classify_step(seeds, 8).classes]
+    assert len(codes) == 196 + 6
+    for code in codes:
+        assert _leader_regimes(*_column_syndromes(code)) >= {"no tail", "several tiles"}
+    assert "dependent tail" in _leader_regimes(*_column_syndromes(load_code("C_{8,6}")))
+    assert "dependent tail" in _leader_regimes(*_dependent_columns(random.Random(12), 10, 4))
+
+
+def test_split_columns_relabels_an_independent_head():
+    rng = random.Random(36)
+    inputs = [
+        _column_syndromes(load_code("C_{8,6}")),
+        _column_syndromes(LinearCode(36, [rng.getrandbits(36) for _ in range(14)])),
+        _dependent_columns(random.Random(12), 14, 5),
+    ]
+    for cols, r in inputs:
+        rest = _free_columns(cols, r)
+        head, tail, order = _split_columns(rest, r)
+        e = len(head)
+        assert len(rref_masks(head, r)) == e == min(len(rref_masks(rest, r)), r, ENUM_CAP)
+        assert tail  # every input has a dependent column or one beyond the cap
+        rows = span_masks(head) >> np.uint64(r - e)
+        assert sorted(rows.tolist()) == list(range(1 << e))
+        assert sorted(order) == list(range(r))
+        assert sorted(_unrelabelled(head, order, r) + tail) == sorted(rest)
 
 
 def test_sweep_radius_matches_table_max_on_a8_branch():
@@ -488,11 +501,12 @@ def test_valid_extension_vectors_peak_memory_within_4_mib():
     assert peak <= 6 << 20, peak
 
 
-def test_leader_weights_peak_memory_within_table_and_three_tiles():
-    cols, r = _column_syndromes(load_code("C_{32,9,5}"))
-    assert r == 23
-    peak = _traced_peak(leader_weights, cols, r)
-    assert peak <= (1 << r) + 3 * LEADER_TILE, peak / (1 << r)
+def test_leader_weights_peak_memory_within_table_and_two_tiles():
+    # with spill rows for rank-layer folds, all but C_{32,10,2} took the table and 2.8-2.9 tiles
+    for cid in ("C_{32,9,5}", "C_{32,9,7}", "C_{32,10,2}", "C_{32,11,1}"):
+        cols, r = _column_syndromes(load_code(cid))
+        peak = _traced_peak(leader_weights, cols, r)
+        assert peak <= (1 << r) + 2 * LEADER_TILE, (cid, (peak - (1 << r)) / LEADER_TILE)
 
 
 def test_leader_weights_peak_memory_on_the_cube_path():
@@ -541,7 +555,7 @@ def test_leader_weights_match_popcount_relaxation_with_dependent_columns():
     rng = random.Random(12)
     for r, k in ((10, 4), (14, 5), (16, 12), (22, 10)):
         cols, r = _dependent_columns(rng, r, k)
-        assert "rank layers" in _leader_regimes(cols, r)
+        assert "dependent tail" in _leader_regimes(cols, r)
         _assert_matches_popcount_relaxation(cols, r)
         assert leader_weights(cols, r).tobytes() == whole_table_oracle(cols, r).tobytes()
 
