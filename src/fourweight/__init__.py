@@ -7,7 +7,7 @@ first-order Reed-Muller code, and builds from each such code a set of
 matrices for parameters (n, n, (n/2a)^2, 4a^2).
 """
 
-from fourweight.linear import CosetTable, LinearCode, WeightDistribution
+from fourweight.linear import LinearCode, WeightDistribution
 from fourweight.reedmuller import rm1, rm1_fixed
 from fourweight.conditions import (
     FourWeightCertificate,
@@ -35,7 +35,6 @@ __all__ = [
     "CanonicalForm",
     "ClassificationReport",
     "CosetLeaderProfile",
-    "CosetTable",
     "FourWeightCertificate",
     "LinearCode",
     "QuwmParams",

@@ -33,9 +33,9 @@ from fourweight._bits import support_to_mask
 from fourweight.canonical import canonical_form
 from fourweight.classify import _layer
 from fourweight.conditions import check_conditions, reference_rm, require_certificate
-from fourweight.cover import is_maximal, leader_profile, valid_extension_vectors
+from fourweight.cover import CosetLeaderProfile, is_maximal, leader_profile, valid_extension_vectors
 from fourweight.errors import InputError, IntegrityError
-from fourweight.linear import LinearCode, even_weight_code, full_space
+from fourweight.linear import LinearCode, even_weight_code
 from fourweight.reedmuller import rm1
 from fourweight.weighing import build_quwm_set
 
@@ -361,20 +361,15 @@ def _verify_quwm(report: VerificationReport, cid: str, code: LinearCode) -> None
 def _verify_scope_8(report: VerificationReport) -> None:
     ids = all_ids(8)
     codes = _verify_reconstruction(report, ids)
-    rm = rm1(3)
-    t_rm = full_space(8).coset_table(rm)
+    weight2_rm = CosetLeaderProfile.with_table(rm1(3)).histogram().get(2, 0)
     report.add(
-        "RM(1,3) has 7 nontrivial weight-2 cosets",
-        len(t_rm.nontrivial_of_weight(2)) == 7,
-        f"found {len(t_rm.nontrivial_of_weight(2))}",
+        "RM(1,3) has 7 nontrivial weight-2 cosets", weight2_rm == 7, f"found {weight2_rm}"
     )
     c85 = codes.get("C_{8,5}")
     if c85 is not None:
-        t_85 = full_space(8).coset_table(c85)
+        weight2_85 = CosetLeaderProfile.with_table(c85).histogram().get(2, 0)
         report.add(
-            "C_{8,5} has 3 nontrivial weight-2 cosets",
-            len(t_85.nontrivial_of_weight(2)) == 3,
-            f"found {len(t_85.nontrivial_of_weight(2))}",
+            "C_{8,5} has 3 nontrivial weight-2 cosets", weight2_85 == 3, f"found {weight2_85}"
         )
     for cid, code in codes.items():
         report.add(

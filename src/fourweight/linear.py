@@ -1,4 +1,4 @@
-"""Binary linear codes: enumeration, duality, cosets, the text format."""
+"""Binary linear codes: enumeration, duality, the text format."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from typing import Iterable
 
 import numpy as np
 
-from fourweight._bits import complement_basis, mask_to_01, reduce_mask, rref_masks, span_masks
+from fourweight._bits import mask_to_01, reduce_mask, rref_masks, span_masks
 from fourweight.errors import CapacityError, InputError
 
 #: Full enumeration of 2^k codewords is refused beyond this dimension.
@@ -187,7 +187,7 @@ class LinearCode:
             return "doubly_even"
         return "none"
 
-    # -- duality and cosets ----------------------------------------------------
+    # -- duality ---------------------------------------------------------------
 
     def dual(self) -> "LinearCode":
         """The orthogonal complement under the standard inner product."""
@@ -206,48 +206,6 @@ class LinearCode:
         dual = LinearCode(n, rows)
         assert dual.k == n - self.k
         return dual
-
-    def coset_table(self, sub: "LinearCode") -> "CosetTable":
-        """One representative per coset of sub inside self.
-
-        Each representative is the lexicographically least minimum-weight
-        member of its coset; the table is sorted by (weight, vector), so
-        the zero coset comes first.
-        """
-        if sub.n != self.n:
-            raise InputError(f"length mismatch: {sub.n} vs {self.n}")
-        if not self.contains(sub):
-            raise InputError("not a subcode of the ambient code")
-        transversal = complement_basis(self._rows, sub._rows, self.n)
-        sub_words = sub.words()
-        reps = []
-        for u in span_masks(transversal):
-            coset = sub_words ^ u
-            weights = np.bitwise_count(coset)
-            wmin = int(weights.min())
-            rep = int(coset[weights == wmin].min())
-            reps.append((wmin, rep))
-        reps.sort()
-        return CosetTable(
-            ambient=self,
-            subcode=sub,
-            representatives=tuple(rep for _, rep in reps),
-        )
-
-
-@dataclass(frozen=True)
-class CosetTable:
-    """Complete coset representatives of a subcode inside an ambient code."""
-
-    ambient: LinearCode
-    subcode: LinearCode
-    representatives: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.representatives)
-
-    def nontrivial_of_weight(self, w: int) -> tuple[int, ...]:
-        return tuple(v for v in self.representatives if v.bit_count() == w and v)
 
 
 def full_space(n: int) -> LinearCode:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from fourweight._bits import mask_to_01, unpack_bits
+from fourweight._bits import complement_basis, mask_to_01, span_masks, unpack_bits
 from fourweight.conditions import FourWeightCertificate, reference_rm, require_certificate
 from fourweight.errors import InputError
 from fourweight.linear import LinearCode
@@ -191,15 +191,23 @@ def build_quwm_set(
     """The 2^(k-m-1) Hadamard matrices generated by a qualifying code.
 
     Matrix i collects the psi images of the antipodal split of the i-th
-    coset of the reference RM(1,m), rows in lexicographic order of the
-    underlying codewords; the construction is deterministic unless an rng
-    is supplied for the split choice.
+    coset of the reference RM(1,m) inside the code, the cosets sorted by
+    their least weight and then their least word of that weight, rows in
+    lexicographic order of the underlying codewords; the construction is
+    deterministic unless an rng is supplied for the split choice.
     """
     if cert is None:
         cert = require_certificate(code)
     rm = reference_rm(cert.m)
-    reps = np.array(code.coset_table(rm).representatives, dtype=np.uint64)
-    cosets = np.sort(reps[:, None] ^ rm.words()[None, :], axis=1)  # closed under complement
+    if not code.contains(rm):
+        raise InputError(f"the reference RM(1,{cert.m}) is not a subcode")
+    transversal = span_masks(complement_basis(code.row_masks, rm.row_masks, code.n))
+    cosets = np.sort(transversal[:, None] ^ rm.words(), axis=1)  # closed under complement
+    # cosets by (least weight, least word of that weight): the first such in a sorted row
+    weights = np.bitwise_count(cosets)
+    least = weights.min(axis=1)
+    rep = cosets[np.arange(len(cosets)), np.argmax(weights == least[:, None], axis=1)]
+    cosets = cosets[np.lexsort((rep, least))]
     signs = psi(_split(cosets, code.n, rng), code.n)
     params = QuwmParams(n=code.n, k=code.n, l=cert.l, a=4 * cert.a * cert.a)
     assert len(signs) == cert.qw_set_size

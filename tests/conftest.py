@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -44,6 +46,21 @@ def a4_k8_classes():
     for _ in range(2):
         seeds = [rec.code for rec in classify_step(seeds, 4).classes]
     return seeds
+
+
+# sha256 of verify_claims(scope).as_dict() as `fourweight --format json
+# verify-paper --scope <scope>` prints it, per scope.
+VERIFY_PAPER_SHA256 = {
+    8: "a56f8e47e6049c955ca6f00e726ff0d86ae9f6ffa609607721d0cb9e0e98cb73",
+    16: "d89e33f6c0a097d607f4411ea82592ed6d0ee4345944c63641c817889e9715a7",
+    32: "02c778d0b381240dadd29ac68e0872c2c1f3c4151d6c9786519ca77220949583",
+}
+
+
+def report_sha256(report) -> str:
+    """sha256 of a VerificationReport rendered as verify-paper's JSON output."""
+    text = json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def random_permutation(rng, n):

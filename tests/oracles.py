@@ -7,12 +7,14 @@ orbit reduction here is the program's earlier loop, which propagated
 labels both ways along each generator, over maps built by its own bit
 moves and coset minima.  The canonical search's setup is checked against
 the program's earlier one: a rank test that reduces each weight class in
-numpy, one pass per basis vector it adds, and float64 pair counts.
+numpy, one pass per basis vector it adds, and float64 pair counts.  The
+matrix build's coset order is checked against the program's earlier
+per-coset loop.
 """
 
 import numpy as np
 
-from fourweight._bits import reduce_mask, span_masks, unpack_bits
+from fourweight._bits import complement_basis, reduce_mask, span_masks, unpack_bits
 from fourweight.errors import CapacityError
 from fourweight.linear import LinearCode
 
@@ -193,3 +195,20 @@ def pair_counts_reference(code: LinearCode) -> list[np.ndarray]:
         block = unpack_bits(words[weights == w], code.n).astype(np.float64)
         out.append((block.T @ block).astype(np.int64))
     return out
+
+
+def coset_reps_reference(ambient: LinearCode, sub: LinearCode) -> list[int]:
+    """Reference coset representatives of sub inside ambient, one coset at a time.
+
+    Each is the least word of least weight in its coset, and they come
+    sorted by (weight, word), so the zero coset's 0 is first.
+    """
+    assert ambient.contains(sub), "not a subcode of the ambient code"
+    sub_words = sub.words()
+    reps = []
+    for u in span_masks(complement_basis(ambient.row_masks, sub.row_masks, ambient.n)):
+        coset = sub_words ^ u
+        weights = np.bitwise_count(coset)
+        wmin = int(weights.min())
+        reps.append((wmin, int(coset[weights == wmin].min())))
+    return [rep for _, rep in sorted(reps)]

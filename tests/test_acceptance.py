@@ -19,10 +19,10 @@ from fourweight.canonical import apply_permutation, are_equivalent, canonical_fo
 from fourweight.catalog import all_ids, load_code, verify_claims
 from fourweight.cli import main
 from fourweight.conditions import check_conditions
-from fourweight.cover import is_maximal, leader_profile
+from fourweight.cover import CosetLeaderProfile, is_maximal, leader_profile
 from fourweight.weighing import build_quwm_set, psi
 
-from conftest import random_permutation
+from conftest import VERIFY_PAPER_SHA256, random_permutation, report_sha256
 from oracles import covering_radius_bruteforce
 
 
@@ -39,6 +39,7 @@ def scope32():
     elapsed = time.time() - t0
     failed = [c.claim for c in report.claims if not c.ok]
     assert report.all_pass, failed
+    assert report_sha256(report) == VERIFY_PAPER_SHA256[32]
     return report, elapsed
 
 
@@ -53,11 +54,10 @@ def test_criterion_1_length8(capsys):
         ok &= rep["num_classes"] == 1
         rec = rep["classes"][0]
         ok &= rec["min_weight"] == 2 and rec["a"] == 2
-    from fourweight.linear import full_space
     from fourweight.reedmuller import rm1
 
-    ok &= len(full_space(8).coset_table(rm1(3)).nontrivial_of_weight(2)) == 7
-    ok &= len(full_space(8).coset_table(load_code("C_{8,5}")).nontrivial_of_weight(2)) == 3
+    ok &= CosetLeaderProfile.with_table(rm1(3)).histogram().get(2, 0) == 7
+    ok &= CosetLeaderProfile.with_table(load_code("C_{8,5}")).histogram().get(2, 0) == 3
     elapsed = time.time() - t0
     ok &= elapsed < 1.0
     with capsys.disabled():

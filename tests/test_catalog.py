@@ -16,6 +16,8 @@ from fourweight.conditions import check_conditions
 from fourweight.errors import InputError
 import hashlib
 
+from conftest import VERIFY_PAPER_SHA256, report_sha256
+
 
 def test_tables_checksum():
     raw = _read_data("tables.json")
@@ -94,6 +96,7 @@ def test_recorded_radii_match_recomputation():
 def test_verify_claims_scope8():
     report = verify_claims(8)
     assert report.all_pass, [c.claim for c in report.claims if not c.ok]
+    assert report_sha256(report) == VERIFY_PAPER_SHA256[8]
 
 
 def test_verify_claims_scope16_determinism():
@@ -101,6 +104,7 @@ def test_verify_claims_scope16_determinism():
     r2 = verify_claims(16)
     assert r1.all_pass, [c.claim for c in r1.claims if not c.ok]
     assert r1.as_dict() == r2.as_dict()
+    assert report_sha256(r1) == VERIFY_PAPER_SHA256[16]
 
 
 def test_verify_claims_bad_scope():

@@ -6,10 +6,12 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from importlib import resources
 
+from fourweight._bits import SPAN_GUARD, support_to_mask
+from fourweight.canonical import DIM_GUARD
 from fourweight.catalog import load_code
 from fourweight.cli import main
 from fourweight.linear import LinearCode
-from fourweight.reedmuller import rm1_fixed
+from fourweight.reedmuller import rm1, rm1_fixed
 
 
 def run_cli(capsys, *argv):
@@ -41,6 +43,10 @@ def test_rm_command(capsys):
     assert status == 0
     assert out.splitlines()[0] == "16 5"
     assert LinearCode.from_text(out) == rm1_fixed(4)
+    # at m = 3 the fixed coordinates are the recursive code's
+    status, fixed, _ = run_cli(capsys, "rm", "--m", "3", "--fixed")
+    assert status == 0
+    assert run_cli(capsys, "rm", "--m", "3") == (0, fixed, "")
 
 
 def test_check_pass(capsys, code_file):
@@ -61,6 +67,20 @@ def test_check_fails_on_rm(capsys, code_file):
     validate(payload, "check")
     assert not payload["conditions"]["c1"]
     assert any("weight set" in v for v in payload["violations"])
+
+
+def test_check_reports_offset_not_dividing(capsys, code_file):
+    # 1, x = coordinates 1-5 and y = 2-9 span weights {0, 5, 8, 11, 16}: a = 3
+    rows = [2**16 - 1, support_to_mask(16, range(1, 6)), support_to_mask(16, range(2, 10))]
+    status, out, _ = run_cli(capsys, "--format", "json", "check", code_file(LinearCode(16, rows)))
+    assert status == 1
+    payload = json.loads(out)
+    validate(payload, "check")
+    assert payload["conditions"] == {"c1": False, "c2": False}
+    assert payload["violations"] == [
+        "condition (1): weight set {0, 5, 8, 11, 16} needs a=3, not a divisor of 2^3",
+        "condition (2): the reference RM(1,4) is not a subcode",
+    ]
 
 
 def test_check_bad_file(capsys, tmp_path):
@@ -131,6 +151,15 @@ def test_equiv_zero_dimensional_codes(capsys, code_file):
     assert payload == {"equivalent": True, "witness": list(range(1, 17))}
 
 
+def test_equiv_beyond_dimension_guard_exits_3(capsys, code_file):
+    # equal weight distributions, so the canonical form is asked for and refuses
+    code = LinearCode(32, [1 << i for i in range(DIM_GUARD + 1)])
+    p1, p2 = code_file(code, "a.code"), code_file(code, "b.code")
+    status, out, err = run_cli(capsys, "equiv", p1, p2)
+    assert status == 3 and out == ""
+    assert err == f"capacity: canonical form guarded to k <= {DIM_GUARD}\n"
+
+
 def test_covrad(capsys, code_file):
     path = code_file("C_{16,7,1}")
     status, out, _ = run_cli(capsys, "--format", "json", "covrad", path)
@@ -154,6 +183,16 @@ def test_maximal_rejects_nonqualifying(capsys, code_file):
     path = code_file(rm1_fixed(4))
     status, _, err = run_cli(capsys, "maximal", path)
     assert status == 2
+
+
+def test_maximal_beyond_span_guard_exits_3(capsys, code_file):
+    # RM(1,6) plus the product of two of its rows has weights {16, 32, 48},
+    # a = 16: 2^56 syndromes leave no radius, and C-perp/C has 2^48 cosets
+    rm = rm1(6)
+    code = rm.extend(rm.row_masks[1] & rm.row_masks[2])
+    assert code.n - 2 * code.k == 48 > SPAN_GUARD
+    status, out, err = run_cli(capsys, "maximal", code_file(code))
+    assert status == 3 and out == "" and err.startswith("capacity: span enumeration of 2^48")
 
 
 @pytest.mark.parametrize(

@@ -124,39 +124,15 @@ def test_divisibility_triply_even():
 
 
 def test_coset_table_full_space_over_rm13():
-    table = full_space(8).coset_table(rm1(3))
-    assert len(table) == 16
-    assert table.representatives[0] == 0
-    assert len(table.nontrivial_of_weight(2)) == 7
-    assert all(v.bit_count() == 2 for v in table.nontrivial_of_weight(2))
-    weights = tuple(v.bit_count() for v in table.representatives)
-    assert weights == tuple(sorted(weights))
+    # the cosets of a code in F_2^n are its syndromes, so the leader table
+    # counts them by leader weight
+    from fourweight.catalog import load_code
+    from fourweight.cover import CosetLeaderProfile
 
-
-def test_coset_table_self():
-    table = rm1(3).coset_table(rm1(3))
-    assert len(table) == 1
-    assert table.representatives == (0,)
-
-
-def test_coset_table_index_two(n16_codes):
-    from fourweight.reedmuller import rm1_fixed
-
-    table = n16_codes["C_{16,6,1}"].coset_table(rm1_fixed(4))
-    assert len(table) == 2
-
-
-def test_coset_table_rejects_non_subcode():
-    with pytest.raises(InputError):
-        rm1(3).coset_table(even_weight_code(8))
-
-
-def test_coset_leader_max_equals_covering_radius():
-    from fourweight.cover import covering_radius
-
-    code = rm1(3)
-    table = full_space(8).coset_table(code)
-    assert max(v.bit_count() for v in table.representatives) == covering_radius(code)
+    profile = CosetLeaderProfile.with_table(rm1(3))
+    assert len(profile.leader_weight) == 16
+    assert profile.histogram() == {0: 1, 1: 8, 2: 7}
+    assert CosetLeaderProfile.with_table(load_code("C_{8,5}")).histogram().get(2, 0) == 3
 
 
 def test_even_weight_code():

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from fourweight.catalog import all_ids, load_code
-from fourweight.conditions import require_certificate
+from fourweight.conditions import reference_rm, require_certificate
 from fourweight.errors import InputError
-from fourweight.reedmuller import rm1
+from fourweight.linear import LinearCode
+from fourweight.reedmuller import rm1, rm1_fixed
 from fourweight.weighing import (
     QuwmParams,
     QuwmSet,
@@ -22,6 +23,7 @@ from fourweight.weighing import (
 )
 
 from conftest import matrix_from_text
+from oracles import coset_reps_reference
 
 
 def test_psi_constants():
@@ -180,9 +182,13 @@ def test_randomized_split_still_verifies(n16_codes, rng):
     assert qs.verify().all_pass
 
 
-def test_rejects_unqualified_code():
+def test_rejects_unqualified_code(n16_codes):
     with pytest.raises(InputError):
         build_quwm_set(rm1(4))
+    # given another code's certificate: the all-ones code lacks the reference RM(1,4)
+    cert = require_certificate(n16_codes["C_{16,8,1}"])
+    with pytest.raises(InputError):
+        build_quwm_set(LinearCode(16, [2**16 - 1]), cert)
 
 
 def test_matrix_text_roundtrip():
@@ -292,6 +298,21 @@ def test_build_quwm_set_catalog_digest(catalog_sets):
     assert _matrices_digest(catalog_sets.values()) == QUWM_SHA256
     rng_sets = (build_quwm_set(load_code(cid), rng=random.Random(11)) for cid in all_ids())
     assert _matrices_digest(rng_sets) == QUWM_RNG11_SHA256
+
+
+def test_coset_order_matches_loop_oracle(catalog_sets, a8_chain):
+    sets = [(load_code(cid), qs) for cid, qs in catalog_sets.items()]
+    sets += [(code, build_quwm_set(code)) for code in a8_chain[1:]]  # RM(1,5) has no offset a
+    # in a qualifying code every nontrivial coset has least weight n/2 - a; this
+    # one's cosets have least weights 1, 2, 3 with least words 2^15, 3, 2^15 + 3
+    mixed = rm1_fixed(4).extend(1 << 15).extend(0b11)
+    sets.append((mixed, build_quwm_set(mixed, require_certificate(load_code("C_{16,7,1}")))))
+    for code, qs in sets:
+        n = code.n
+        rm = reference_rm(n.bit_length() - 1)
+        reps = np.array(coset_reps_reference(code, rm), dtype=np.uint64)
+        cosets = np.sort(reps[:, None] ^ rm.words(), axis=1)
+        assert np.array_equal(np.array(qs.matrices), psi(cosets[:, : cosets.shape[1] // 2], n)), code
 
 
 def test_antipodal_split_matches_loop_oracle(rng):
