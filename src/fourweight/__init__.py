@@ -25,7 +25,7 @@ from fourweight.weighing import (
     verify_weighing,
 )
 from fourweight.canonical import CanonicalForm, are_equivalent, canonical_form
-from fourweight.cover import CosetLeaderProfile, covering_radius, is_maximal, leader_profile
+from fourweight.cover import CosetLeaderProfile, covering_radius, is_maximal, leader_histogram, leader_profile
 from fourweight.classify import ClassificationReport, classify_all, classify_step
 from fourweight.catalog import all_ids, load_code, verify_claims
 
@@ -52,6 +52,7 @@ __all__ = [
     "covering_radius",
     "expected_distribution",
     "is_maximal",
+    "leader_histogram",
     "leader_profile",
     "load_code",
     "psi",

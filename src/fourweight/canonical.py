@@ -388,5 +388,6 @@ def equivalence_witness(c1: LinearCode, c2: LinearCode):
     sigma = [0] * c1.n
     for t in range(c1.n):
         sigma[w1[t]] = w2[t]
-    assert apply_permutation(c1, sigma) == c2
+    if apply_permutation(c1, sigma) != c2:
+        raise AssertionError("the witness permutation does not map c1 onto c2")
     return tuple(sigma)

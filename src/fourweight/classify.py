@@ -115,7 +115,8 @@ def _dedupe(candidates: list[tuple[LinearCode, tuple]], a: int) -> list[ClassRec
         rec = by_key.get(key)
         if rec is None:
             check = check_conditions(code)
-            assert check.ok, f"extension lost the weight set: {check.violations}"
+            if not check.ok:
+                raise AssertionError(f"extension lost the weight set: {check.violations}")
             by_key[key] = ClassRecord(
                 code=code,
                 key=key,

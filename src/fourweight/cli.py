@@ -16,8 +16,8 @@ from pathlib import Path
 from fourweight import catalog
 from fourweight.canonical import equivalence_witness
 from fourweight.classify import classify_all
-from fourweight.conditions import check_conditions, require_certificate
-from fourweight.cover import CosetLeaderProfile, is_maximal
+from fourweight.conditions import check_conditions
+from fourweight.cover import is_maximal, leader_histogram
 from fourweight.errors import CapacityError, InputError
 from fourweight.linear import LinearCode
 from fourweight.reedmuller import rm1, rm1_fixed
@@ -102,19 +102,19 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_covrad(args) -> int:
-    profile = CosetLeaderProfile.with_table(LinearCode.from_file(args.code))
-    histogram = profile.histogram()
+    histogram = leader_histogram(LinearCode.from_file(args.code))
+    radius = max(histogram)
     payload = {
-        "radius": profile.radius,
+        "radius": radius,
         "leader_weight_histogram": {str(w): c for w, c in histogram.items()},
     }
-    _emit(payload, args, [f"covering radius: {profile.radius}", f"histogram: {histogram}"])
+    _emit(payload, args, [f"covering radius: {radius}", f"histogram: {histogram}"])
     return EXIT_OK
 
 
 def cmd_maximal(args) -> int:
     code = LinearCode.from_file(args.code)
-    res = is_maximal(code, require_certificate(code))
+    res = is_maximal(code)
     payload = {
         "maximal": res.maximal,
         "path": res.path,

@@ -29,14 +29,13 @@ surviving representatives by index (see coset_filter).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from fourweight._bits import (
     SPAN_GUARD, complement_basis, pack_bits, permute_bits, span_masks, unpack_bits,
 )
-from fourweight.conditions import FourWeightCertificate, require_certificate
+from fourweight.conditions import require_certificate
 from fourweight.errors import CapacityError
 from fourweight.linear import LinearCode, full_space
 
@@ -234,11 +233,13 @@ def _sweep_radius(cols: np.ndarray, r: int) -> int:
     head, tail, _ = _split_columns(_free_columns(cols, r), r)
     if tail:  # the cube passes relax the whole table
         table = leader_weights(cols, r)
-        assert table[0] == 0
+        if table[0]:
+            raise AssertionError("syndrome 0 has a nonzero leader weight")
         return int(table.max())
     radius = 0
     for c0, tile in _relaxed_tiles(head, r):
-        assert c0 or tile[0, 0] == 0
+        if not c0 and tile[0, 0]:
+            raise AssertionError("syndrome 0 has a nonzero leader weight")
         radius = max(radius, int(tile.max()))
     return radius
 
@@ -277,45 +278,25 @@ def coset_filter(words: np.ndarray, reps: np.ndarray, allowed: int) -> np.ndarra
     return out
 
 
-def _leader_table(code: LinearCode) -> np.ndarray:
-    cols, r = _column_syndromes(code)
-    table = leader_weights(cols, r)
-    assert table[0] == 0
-    return table
-
-
 @dataclass(frozen=True)
 class CosetLeaderProfile:
-    """The covering radius of one code; the leader weight per syndrome is built on first access."""
+    """The covering radius of one code (see leader_profile)."""
 
     code: LinearCode
     radius: int
-
-    # Invariant: radius == leader_weight.max().  Both constructors keep it;
-    # the dataclass's own __init__ does not check it.
-
-    @classmethod
-    def with_table(cls, code: LinearCode) -> CosetLeaderProfile:
-        """The profile read off the whole table, for callers that want both: one sweep."""
-        table = _leader_table(code)
-        profile = cls(code=code, radius=int(table.max()))
-        # cached_property keeps its value in the instance __dict__ under its
-        # own name, which a frozen dataclass still lets us write
-        profile.__dict__["leader_weight"] = table
-        return profile
-
-    @cached_property
-    def leader_weight(self) -> np.ndarray:
-        return _leader_table(self.code)
-
-    def histogram(self) -> dict[int, int]:
-        counts = np.bincount(self.leader_weight)
-        return {w: int(c) for w, c in enumerate(counts) if c}
 
 
 def leader_profile(code: LinearCode) -> CosetLeaderProfile:
     """The covering radius, swept eagerly without the 2^(n-k)-byte table (see leader_weights)."""
     return CosetLeaderProfile(code=code, radius=_sweep_radius(*_column_syndromes(code)))
+
+
+def leader_histogram(code: LinearCode) -> dict[int, int]:
+    """Syndromes per least coset-leader weight, from one whole-table sweep; the largest key is the radius."""
+    table = leader_weights(*_column_syndromes(code))
+    if table[0]:
+        raise AssertionError("syndrome 0 has a nonzero leader weight")
+    return {w: int(c) for w, c in enumerate(np.bincount(table)) if c}
 
 
 def covering_radius(code: LinearCode) -> int:
@@ -372,19 +353,14 @@ def valid_extension_vectors(code: LinearCode, a: int) -> np.ndarray:
     return np.sort(np.concatenate(blocks))
 
 
-def is_maximal(
-    code: LinearCode,
-    cert: FourWeightCertificate | None = None,
-    radius: int | None = None,
-) -> MaximalityResult:
+def is_maximal(code: LinearCode, radius: int | None = None) -> MaximalityResult:
     """Whether no qualifying code properly contains this one.
 
     Fast path: a covering radius below n/2 - a means every coset contains
     a vector lighter than the least allowed weight.  Slow path: scan the
     extension cosets directly and report a witness extension when found.
     """
-    if cert is None:
-        cert = require_certificate(code)
+    cert = require_certificate(code)
     bound = code.n // 2 - cert.a
     if radius is None and code.n - code.k <= SYNDROME_GUARD:
         radius = covering_radius(code)

@@ -182,6 +182,18 @@ class QuwmSet:
         )
 
 
+def _rm_cosets(code: LinearCode, rm: LinearCode) -> np.ndarray:
+    """The cosets of the subcode rm in code, one sorted row each, the rows
+    sorted by their least weight and then their least word of that weight."""
+    transversal = span_masks(complement_basis(code.row_masks, rm.row_masks, code.n))
+    cosets = np.sort(transversal[:, None] ^ rm.words(), axis=1)
+    # the least word of least weight is the first such in a sorted row
+    weights = np.bitwise_count(cosets)
+    least = weights.min(axis=1)
+    rep = cosets[np.arange(len(cosets)), np.argmax(weights == least[:, None], axis=1)]
+    return cosets[np.lexsort((rep, least))]
+
+
 def build_quwm_set(
     code: LinearCode,
     cert: FourWeightCertificate | None = None,
@@ -191,26 +203,20 @@ def build_quwm_set(
     """The 2^(k-m-1) Hadamard matrices generated by a qualifying code.
 
     Matrix i collects the psi images of the antipodal split of the i-th
-    coset of the reference RM(1,m) inside the code, the cosets sorted by
-    their least weight and then their least word of that weight, rows in
-    lexicographic order of the underlying codewords; the construction is
-    deterministic unless an rng is supplied for the split choice.
+    coset of the reference RM(1,m) inside the code (see _rm_cosets), rows
+    in lexicographic order of the underlying codewords; the construction
+    is deterministic unless an rng is supplied for the split choice.  The
+    parameters come from the code's own certificate; a cert passed in
+    must equal it.
     """
-    if cert is None:
-        cert = require_certificate(code)
-    rm = reference_rm(cert.m)
-    if not code.contains(rm):
-        raise InputError(f"the reference RM(1,{cert.m}) is not a subcode")
-    transversal = span_masks(complement_basis(code.row_masks, rm.row_masks, code.n))
-    cosets = np.sort(transversal[:, None] ^ rm.words(), axis=1)  # closed under complement
-    # cosets by (least weight, least word of that weight): the first such in a sorted row
-    weights = np.bitwise_count(cosets)
-    least = weights.min(axis=1)
-    rep = cosets[np.arange(len(cosets)), np.argmax(weights == least[:, None], axis=1)]
-    cosets = cosets[np.lexsort((rep, least))]
+    own = require_certificate(code)
+    if cert is not None and cert != own:
+        raise InputError("the certificate given is not the code's own")
+    cosets = _rm_cosets(code, reference_rm(own.m))  # each closed under complement
     signs = psi(_split(cosets, code.n, rng), code.n)
-    params = QuwmParams(n=code.n, k=code.n, l=cert.l, a=4 * cert.a * cert.a)
-    assert len(signs) == cert.qw_set_size
+    if len(signs) != own.qw_set_size:
+        raise AssertionError(f"{len(signs)} matrices, not {own.qw_set_size}")
+    params = QuwmParams(n=code.n, k=code.n, l=own.l, a=4 * own.a * own.a)
     return QuwmSet(params=params, matrices=tuple(signs), source=source)
 
 

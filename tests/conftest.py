@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fourweight
 from fourweight.catalog import load_code
 from fourweight.classify import classify_step
 from fourweight.cover import _extension_blocks
@@ -91,3 +95,13 @@ def matrix_from_text(text: str) -> np.ndarray:
 def extension_reps(code, a):
     """The blocks of ``fourweight.cover._extension_blocks``, concatenated."""
     return np.concatenate(list(_extension_blocks(code, a)))
+
+
+def fresh_stdout(code: str, *flags: str) -> str:
+    """The stripped stdout of `code` run with interpreter flags in a new process
+    that imports this fourweight and, by module name, these tests."""
+    src = os.path.dirname(os.path.dirname(fourweight.__file__))
+    path = [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env, check=True)
+    return out.stdout.strip()

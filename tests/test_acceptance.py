@@ -19,7 +19,7 @@ from fourweight.canonical import apply_permutation, are_equivalent, canonical_fo
 from fourweight.catalog import all_ids, load_code, verify_claims
 from fourweight.cli import main
 from fourweight.conditions import check_conditions
-from fourweight.cover import CosetLeaderProfile, is_maximal, leader_profile
+from fourweight.cover import is_maximal, leader_histogram, leader_profile
 from fourweight.weighing import build_quwm_set, psi
 
 from conftest import VERIFY_PAPER_SHA256, random_permutation, report_sha256
@@ -56,8 +56,8 @@ def test_criterion_1_length8(capsys):
         ok &= rec["min_weight"] == 2 and rec["a"] == 2
     from fourweight.reedmuller import rm1
 
-    ok &= CosetLeaderProfile.with_table(rm1(3)).histogram().get(2, 0) == 7
-    ok &= CosetLeaderProfile.with_table(load_code("C_{8,5}")).histogram().get(2, 0) == 3
+    ok &= leader_histogram(rm1(3)).get(2, 0) == 7
+    ok &= leader_histogram(load_code("C_{8,5}")).get(2, 0) == 3
     elapsed = time.time() - t0
     ok &= elapsed < 1.0
     with capsys.disabled():

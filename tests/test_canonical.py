@@ -33,7 +33,7 @@ from fourweight.errors import CapacityError, InputError
 from fourweight.linear import LinearCode
 from fourweight.reedmuller import rm1
 
-from conftest import random_permutation
+from conftest import fresh_stdout, random_permutation
 from oracles import (
     find_isomorphism_bruteforce,
     pair_counts_reference,
@@ -73,6 +73,31 @@ def test_equivalence_of_permuted_copy(rng, n16_codes):
     assert are_equivalent(code, image)
     w = equivalence_witness(code, image)
     assert w is not None and apply_permutation(code, w) == image
+
+
+def test_witness_check_survives_optimize(tmp_path):
+    # with apply_permutation patched to leave the code as it is, the check of
+    # the witness must still raise under python -O, and the CLI exit with 4
+    code = load_code("C_{16,6,2}")
+    image = apply_permutation(code, list(range(1, 16)) + [0])
+    assert image != code
+    code.save(tmp_path / "a.code")
+    image.save(tmp_path / "b.code")
+    script = (
+        "from fourweight import canonical\n"
+        "from fourweight.cli import main\n"
+        "from fourweight.linear import LinearCode\n"
+        "assert not __debug__\n"
+        "canonical.apply_permutation = lambda code, sigma: code\n"
+        f"a, b = {str(tmp_path / 'a.code')!r}, {str(tmp_path / 'b.code')!r}\n"
+        "try:\n"
+        "    canonical.equivalence_witness(LinearCode.from_file(a), LinearCode.from_file(b))\n"
+        "    print('returned')\n"
+        "except AssertionError:\n"
+        "    print('raised')\n"
+        "print(main(['equiv', a, b]))\n"
+    )
+    assert fresh_stdout(script, "-O").split() == ["raised", "4"]
 
 
 def test_column_reversal_is_equivalent(n16_codes):

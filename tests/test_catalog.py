@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fourweight import catalog
 from fourweight.catalog import (
     TABLES_SHA256,
     _read_data,
@@ -12,6 +13,7 @@ from fourweight.catalog import (
     parse_id,
     verify_claims,
 )
+from fourweight.cli import main
 from fourweight.conditions import check_conditions
 from fourweight.errors import InputError
 import hashlib
@@ -126,3 +128,16 @@ def test_rederivation_matches_fixture():
     derived = json.loads(_read_data("derived.json"))["tenth_generator"]
     fresh = derive_tenth_generators()
     assert fresh == {k: list(v) for k, v in derived.items()}
+
+
+RECORDED_RADII_CLAIM = "C_{32,9,91}, C_{32,9,92} radii recorded (computed, not table-sourced)"
+
+
+def test_recorded_radii_claim_compares_the_sweep(monkeypatch, capsys):
+    # derived.json records 11 and 12; with 12 for C_{32,9,91} the swept 11 disagrees
+    derived = catalog._derived()
+    wrong = dict(derived, covering_radius_computed={"C_{32,9,91}": 12, "C_{32,9,92}": 12})
+    monkeypatch.setattr(catalog, "_derived", lambda: wrong)
+    assert main(["--format", "json", "verify-paper", "--scope", "32"]) == 1
+    claims = json.loads(capsys.readouterr().out)["claims"]
+    assert [c["claim"] for c in claims if not c["ok"]] == [RECORDED_RADII_CLAIM]

@@ -4,12 +4,12 @@ Test-only helpers and oracles belong under tests/ (see tests/oracles.py).
 """
 
 import ast
-import os
-import subprocess
-import sys
+import inspect
 from pathlib import Path
 
 import fourweight
+
+from conftest import fresh_stdout
 
 SRC = Path(fourweight.__file__).parent
 
@@ -53,6 +53,21 @@ def test_src_defines_no_test_only_names():
     assert not unused, unused
 
 
+# build_quwm_set keeps `cert` because perfbench's verify32 replay passes one
+# by position; ROADMAP item 1 rewrites that replay and then drops it
+CERT_PARAMETER_ALLOWED = {"build_quwm_set"}
+
+
+def test_public_calls_derive_their_certificates():
+    # a certificate comes from the code itself, never from the caller
+    takes_cert = [
+        name
+        for name in fourweight.__all__
+        if callable(obj := getattr(fourweight, name)) and "cert" in inspect.signature(obj).parameters
+    ]
+    assert set(takes_cert) <= CERT_PARAMETER_ALLOWED, takes_cert
+
+
 def test_no_process_loads_openssl():
     # hashlib loads OpenSSL's libcrypto (about 3.6 MiB of RSS); the node
     # digest and the tables checksum take CPython's builtin hashes instead.
@@ -78,7 +93,7 @@ def test_no_process_loads_openssl():
         "assert classify_step([sub, code], 4).classes\n"
         "print(sorted({'hashlib', '_hashlib', 'numpy.ma'} & set(sys.modules)))\n"
     )
-    assert _fresh_stdout(code) == "[]"
+    assert fresh_stdout(code) == "[]"
 
 
 def test_verify_paper_starts_no_thread():
@@ -90,12 +105,4 @@ def test_verify_paper_starts_no_thread():
         "assert verify_claims(8).all_pass\n"
         "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)), threading.active_count())\n"
     )
-    assert _fresh_stdout(code) == "[] 1"
-
-
-def _fresh_stdout(code: str) -> str:
-    """The stripped stdout of `code` run in a new interpreter that imports this fourweight."""
-    src = os.path.dirname(os.path.dirname(fourweight.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    return out.stdout.strip()
+    assert fresh_stdout(code) == "[] 1"

@@ -1,12 +1,13 @@
 import dataclasses
 import hashlib
+import json
 import random
 
 import numpy as np
 import pytest
 
 from fourweight.catalog import all_ids, load_code
-from fourweight.conditions import reference_rm, require_certificate
+from fourweight.conditions import check_conditions, reference_rm, require_certificate
 from fourweight.errors import InputError
 from fourweight.linear import LinearCode
 from fourweight.reedmuller import rm1, rm1_fixed
@@ -14,6 +15,7 @@ from fourweight.weighing import (
     QuwmParams,
     QuwmSet,
     QuwmVerification,
+    _rm_cosets,
     antipodal_split,
     build_quwm_set,
     matrix_to_text,
@@ -22,7 +24,7 @@ from fourweight.weighing import (
     verify_weighing,
 )
 
-from conftest import matrix_from_text
+from conftest import fresh_stdout, matrix_from_text
 from oracles import coset_reps_reference
 
 
@@ -306,13 +308,66 @@ def test_coset_order_matches_loop_oracle(catalog_sets, a8_chain):
     # in a qualifying code every nontrivial coset has least weight n/2 - a; this
     # one's cosets have least weights 1, 2, 3 with least words 2^15, 3, 2^15 + 3
     mixed = rm1_fixed(4).extend(1 << 15).extend(0b11)
-    sets.append((mixed, build_quwm_set(mixed, require_certificate(load_code("C_{16,7,1}")))))
-    for code, qs in sets:
+    for code, qs in sets + [(mixed, None)]:
         n = code.n
         rm = reference_rm(n.bit_length() - 1)
         reps = np.array(coset_reps_reference(code, rm), dtype=np.uint64)
         cosets = np.sort(reps[:, None] ^ rm.words(), axis=1)
-        assert np.array_equal(np.array(qs.matrices), psi(cosets[:, : cosets.shape[1] // 2], n)), code
+        assert np.array_equal(_rm_cosets(code, rm), cosets), code
+        if qs is not None:
+            assert np.array_equal(np.array(qs.matrices), psi(cosets[:, : cosets.shape[1] // 2], n)), code
+
+
+def _foreign_certificate_outcomes(ids):
+    """Per ordered pair of distinct ids: what build_quwm_set does with the first code under the second's certificate."""
+    out = {}
+    for cid in ids:
+        for other in ids:
+            if other != cid:
+                try:
+                    build_quwm_set(load_code(cid), require_certificate(load_code(other)))
+                    out[cid, other] = "built"
+                except InputError:
+                    out[cid, other] = "InputError"
+    return out
+
+
+# C_{16,8,1} and C_{16,8,2} share (n, k, a), so their certificates are equal
+# as values: each is the other's own certificate
+SHARED_CERTIFICATES = {("C_{16,8,1}", "C_{16,8,2}"), ("C_{16,8,2}", "C_{16,8,1}")}
+
+
+def test_foreign_certificates_refused():
+    ids = all_ids(8) + all_ids(16)
+    outcomes = _foreign_certificate_outcomes(ids)
+    assert len(outcomes) == 72
+    # among them both cases that a trusted certificate let through: a short
+    # set (C_{16,6,1} under C_{16,8,1}'s) and a wrong offset (C_{16,7,2} under C_{16,7,1}'s)
+    assert outcomes["C_{16,6,1}", "C_{16,8,1}"] == outcomes["C_{16,7,2}", "C_{16,7,1}"] == "InputError"
+    assert {pair for pair, got in outcomes.items() if got == "built"} == SHARED_CERTIFICATES
+    for cid, other in SHARED_CERTIFICATES:
+        shared = build_quwm_set(load_code(cid), require_certificate(load_code(other)))
+        assert _matrices_digest([shared]) == _matrices_digest([build_quwm_set(load_code(cid))])
+
+
+def test_foreign_certificates_refused_under_optimize():
+    # the refusal is no assert, so python -O keeps it
+    code = (
+        "import json\n"
+        "from fourweight.catalog import all_ids\n"
+        "from test_weighing import _foreign_certificate_outcomes\n"
+        "assert not __debug__\n"
+        "outcomes = _foreign_certificate_outcomes(all_ids(8) + all_ids(16))\n"
+        "print(json.dumps(sorted(pair for pair, got in outcomes.items() if got == 'built')))\n"
+    )
+    assert {tuple(pair) for pair in json.loads(fresh_stdout(code, "-O"))} == SHARED_CERTIFICATES
+
+
+def test_own_certificate_accepted():
+    for cid in all_ids(8) + all_ids(16):
+        code = load_code(cid)
+        qs = build_quwm_set(code, check_conditions(code).certificate, source=cid)  # as perfbench passes it
+        assert _matrices_digest([qs]) == _matrices_digest([build_quwm_set(code)])
 
 
 def test_antipodal_split_matches_loop_oracle(rng):
