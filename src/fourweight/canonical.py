@@ -300,7 +300,8 @@ class _Search:
                 # Two leaves: neither path is a prefix of the other.
                 common = min(depth, len(self.best_path))
                 diverge = [i for i in range(common) if path[i] != self.best_path[i]]
-                assert diverge, "two leaves share a path"
+                if not diverge:
+                    raise AssertionError("two leaves share a path")
                 return diverge[0]
             return None
 

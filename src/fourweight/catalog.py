@@ -31,9 +31,9 @@ except ImportError:
 
 from fourweight._bits import support_to_mask
 from fourweight.canonical import canonical_form
-from fourweight.classify import _layer
-from fourweight.conditions import check_conditions, reference_rm, require_certificate
-from fourweight.cover import is_maximal, leader_histogram, leader_profile, valid_extension_vectors
+from fourweight.classify import classify_step
+from fourweight.conditions import check_conditions, reference_rm
+from fourweight.cover import covering_radius, is_maximal, leader_histogram, valid_extension_vectors
 from fourweight.errors import InputError, IntegrityError
 from fourweight.linear import LinearCode, even_weight_code
 from fourweight.reedmuller import rm1
@@ -195,12 +195,11 @@ def derive_tenth_generators() -> dict[str, list[int]]:
         base = _chain_code(32, list(gens))
         if base.k != 9:
             raise IntegrityError(f"listed generators {gens} span dimension {base.k}, not 9")
-        a = require_certificate(base).a
         # each class keeps its least realizing vector: orbit reduction keeps
         # orbit minima and the dedupe keeps the first of ascending candidates
         classes: dict[bytes, tuple[int, ...]] = {}
-        for rec in _layer([(base, ())], a)[0]:
-            if not valid_extension_vectors(rec.code, a).size:  # maximal
+        for rec in classify_step([base]).classes:
+            if not valid_extension_vectors(rec.code, rec.a).size:  # maximal
                 classes[rec.key] = rec.provenance[-1]
                 class_d.setdefault(rec.key, rec.min_weight)
         if len(classes) < len(members):
@@ -257,7 +256,7 @@ def derived_text() -> str:
             "tables leave unstated"
         ),
         "covering_radius_computed": {
-            cid: leader_profile(load_code(cid)).radius
+            cid: covering_radius(load_code(cid))
             for cid in ("C_{32,9,91}", "C_{32,9,92}")
         },
         "tenth_generator": derive_tenth_generators(),
@@ -312,7 +311,7 @@ class VerificationReport:
 
 
 def _radii(ids: list[str]) -> dict[str, int]:
-    return {cid: leader_profile(load_code(cid)).radius for cid in ids}
+    return {cid: covering_radius(load_code(cid)) for cid in ids}
 
 
 def _verify_reconstruction(report: VerificationReport, ids: list[str]) -> dict[str, LinearCode]:

@@ -18,7 +18,7 @@ import numpy as np
 from fourweight._bits import mask_to_support, permute_bits, reduce_mask
 from fourweight.canonical import automorphism_generators, canonical_form
 from fourweight.conditions import _log2_exact, admissible_offsets, check_conditions, reference_rm
-from fourweight.cover import SIEVE_BLOCK, leader_profile, valid_extension_vectors
+from fourweight.cover import SIEVE_BLOCK, covering_radius, valid_extension_vectors
 from fourweight.errors import CapacityError, InputError
 from fourweight.linear import LinearCode
 
@@ -204,6 +204,6 @@ def classify_all(n: int, allow_long: bool = False) -> list[ClassificationReport]
         records = sorted(by_k[k], key=lambda r: (r.a, r.key))
         for rec in records:
             if n <= 16 or rec.maximal:
-                rec.covering_radius = leader_profile(rec.code).radius
+                rec.covering_radius = covering_radius(rec.code)
         reports.append(ClassificationReport(n=n, k=k, classes=records))
     return reports

@@ -78,7 +78,8 @@ def expected_distribution(n: int, m: int, k: int, a: int) -> WeightDistribution:
             f"parameters (n={n}, k={k}, a={a}) force a negative count; no such code exists"
         )
     dist = WeightDistribution(tuple(counts))
-    assert dist.total() == 1 << k
+    if dist.total() != 1 << k:
+        raise AssertionError(f"the distribution sums to {dist.total()}, not 2^{k}")
     return dist
 
 
@@ -159,7 +160,8 @@ def check_conditions(code: LinearCode) -> ConditionCheck:
     cert = None
     if ok_weights and ok_subcode:
         l = (n // (2 * a)) ** 2
-        assert l <= n, "qualifying codes cannot have l > n"
+        if l > n:
+            raise AssertionError("qualifying codes cannot have l > n")
         cert = FourWeightCertificate(
             n=n,
             m=m,

@@ -13,16 +13,17 @@ over the low bits, and the top e unit columns are spent by one
 contiguous pass per bit.  The passes relax dist + popcount(row) rather
 than dist, so each takes three ufunc calls, not four, and one subtract
 per tile removes the lift.  Neither step mixes low columns, so the table
-is built one L2-sized tile of low columns at a time (see leader_weights);
-the other columns, dependent or beyond the cap, then relax the whole
-table one pass each.  The covering radius needs only the max, so when no
-column is left over its sweep holds one tile plus scratch and never the
-table.  Maximality of a qualifying code asks whether some coset could
-extend it within the same weight set; when the weight set is doubly even
-any extension vector must lie in the dual, so the scan shrinks to the
-2^(n-2k) cosets of C inside C-perp, filtered one block of REP_BLOCK
-representatives at a time.  The filter is a sieve whose steps test
-popcounts by equality against the allowed weights and compact the
+is built one L2-sized tile of low columns at a time (see
+leader_weights); the other columns, dependent or beyond the cap, then
+relax the whole table one pass each.  covering_radius (a max) and
+leader_histogram (a bincount) reduce the same blocks (see
+_leader_blocks): on every table code no column is left over, the blocks
+are the tiles, and neither holds the table.  Maximality of a qualifying code asks whether some coset
+could extend it within the same weight set; when the weight set is
+doubly even any extension vector must lie in the dual, so the scan
+shrinks to the 2^(n-2k) cosets of C inside C-perp, filtered one block of
+REP_BLOCK representatives at a time.  The filter is a sieve whose steps
+test popcounts by equality against the allowed weights and compact the
 surviving representatives by index (see coset_filter).
 """
 
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fourweight._bits import (
-    SPAN_GUARD, complement_basis, pack_bits, permute_bits, span_masks, unpack_bits,
+    SPAN_GUARD, complement_basis, pack_bits, permute_bits, reduce_mask, span_masks, unpack_bits,
 )
 from fourweight.conditions import require_certificate
 from fourweight.errors import CapacityError
@@ -86,12 +87,10 @@ def _split_columns(rest: list[int], r: int) -> tuple[list[int], list[int], list[
     is then invertible.  It maps unit syndromes to unit syndromes, so it
     keeps every leader weight and only permutes the table.
     """
-    # each basis word lacks the leading bits of earlier ones: one pass reduces x
+    # each basis word lacks the leading bits of earlier ones, as reduce_mask needs
     head, tail, basis = [], [], []
     for h in rest:
-        x = h
-        for b in basis:
-            x = min(x, x ^ b)  # clears b's leading bit when x has it
+        x = reduce_mask(h, basis)
         if x and len(head) < ENUM_CAP:
             basis.append(x)
             head.append(h)
@@ -157,6 +156,8 @@ def _relaxed_tiles(head: list[int], r: int):
             np.minimum(a, b, out=a)
             np.minimum(b, m, out=b)
         np.subtract(tile, lift[:, None], out=tile)
+        if not c0 and tile[0, 0]:  # row 0, low column 0: syndrome 0
+            raise AssertionError("syndrome 0 has a nonzero leader weight")
         yield c0, tile
 
 
@@ -192,8 +193,8 @@ def leader_weights(cols: np.ndarray, r: int) -> np.ndarray:
     a quarter of a tile row (a quarter tile, so that each add writes long
     contiguous rows) and a small one over the low bits above them.  Besides
     the table, the sweep holds the tile, half a tile of pass scratch and
-    that quarter tile; the covering radius (see leader_profile) runs it
-    without the table when the tail is empty, as on every table code.
+    that quarter tile; covering_radius and leader_histogram read the tiles
+    without the table when the tail is empty (see _leader_blocks).
     The tail columns then relax the whole table one pass each,
     dist[s] = min(dist[s], dist[s ^ h] + 1), through a reversed-axis view
     of the 2x...x2 cube, in place and one chunk of half a tile of scratch
@@ -228,20 +229,13 @@ def leader_weights(cols: np.ndarray, r: int) -> np.ndarray:
     return dist
 
 
-def _sweep_radius(cols: np.ndarray, r: int) -> int:
-    """max(leader_weights(cols, r)), from one reused tile when the tail is empty; checks dist(0) = 0."""
+def _leader_blocks(cols: np.ndarray, r: int):
+    """(first low column, block) pairs holding each leader weight once: the relaxed tiles,
+    each overwritten by the next, or, when a tail column needs the cube passes, the whole table."""
     head, tail, _ = _split_columns(_free_columns(cols, r), r)
-    if tail:  # the cube passes relax the whole table
-        table = leader_weights(cols, r)
-        if table[0]:
-            raise AssertionError("syndrome 0 has a nonzero leader weight")
-        return int(table.max())
-    radius = 0
-    for c0, tile in _relaxed_tiles(head, r):
-        if not c0 and tile[0, 0]:
-            raise AssertionError("syndrome 0 has a nonzero leader weight")
-        radius = max(radius, int(tile.max()))
-    return radius
+    if tail:
+        return [(0, leader_weights(cols, r))]
+    return _relaxed_tiles(head, r)
 
 
 def coset_filter(words: np.ndarray, reps: np.ndarray, allowed: int) -> np.ndarray:
@@ -278,30 +272,29 @@ def coset_filter(words: np.ndarray, reps: np.ndarray, allowed: int) -> np.ndarra
     return out
 
 
+def covering_radius(code: LinearCode) -> int:
+    """Exact covering radius: the largest coset-leader weight, swept block by block (see _leader_blocks)."""
+    return max(int(block.max()) for _, block in _leader_blocks(*_column_syndromes(code)))
+
+
+def leader_histogram(code: LinearCode) -> dict[int, int]:
+    """Syndromes per least coset-leader weight, counted block by block; the largest key is the radius."""
+    cols, r = _column_syndromes(code)
+    counts = sum(np.bincount(block.ravel(), minlength=r + 1) for _, block in _leader_blocks(cols, r))
+    return {w: int(c) for w, c in enumerate(counts) if c}
+
+
 @dataclass(frozen=True)
 class CosetLeaderProfile:
-    """The covering radius of one code (see leader_profile)."""
+    """The covering radius of one code (see covering_radius)."""
 
     code: LinearCode
     radius: int
 
 
 def leader_profile(code: LinearCode) -> CosetLeaderProfile:
-    """The covering radius, swept eagerly without the 2^(n-k)-byte table (see leader_weights)."""
-    return CosetLeaderProfile(code=code, radius=_sweep_radius(*_column_syndromes(code)))
-
-
-def leader_histogram(code: LinearCode) -> dict[int, int]:
-    """Syndromes per least coset-leader weight, from one whole-table sweep; the largest key is the radius."""
-    table = leader_weights(*_column_syndromes(code))
-    if table[0]:
-        raise AssertionError("syndrome 0 has a nonzero leader weight")
-    return {w: int(c) for w, c in enumerate(np.bincount(table)) if c}
-
-
-def covering_radius(code: LinearCode) -> int:
-    """Exact covering radius: the largest coset-leader weight."""
-    return leader_profile(code).radius
+    """covering_radius(code) as a profile, the call perfbench's replays time as the leader layer."""
+    return CosetLeaderProfile(code, covering_radius(code))
 
 
 @dataclass(frozen=True)

@@ -164,7 +164,8 @@ class LinearCode:
         for offset in span_masks(self._rows[20:]):
             counts += np.bincount(np.bitwise_count(words ^ offset), minlength=self.n + 1)
         dist = WeightDistribution(tuple(int(c) for c in counts))
-        assert dist.total() == 1 << self.k
+        if dist.total() != 1 << self.k:
+            raise AssertionError(f"{dist.total()} codewords counted, not 2^{self.k}")
         return dist
 
     def weight_distribution(self) -> WeightDistribution:
@@ -204,7 +205,8 @@ class LinearCode:
                     row |= 1 << p
             rows.append(row)
         dual = LinearCode(n, rows)
-        assert dual.k == n - self.k
+        if dual.k != n - self.k:
+            raise AssertionError(f"dual has dimension {dual.k}, not {n - self.k}")
         return dual
 
 

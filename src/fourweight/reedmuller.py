@@ -42,7 +42,8 @@ def rm1(m: int) -> LinearCode:
         rows = [(r << n) | r for r in rows] + [(1 << n) - 1]
         n *= 2
     code = LinearCode(n, rows)
-    assert code.k == m + 1
+    if code.k != m + 1:
+        raise AssertionError(f"RM(1,{m}) has dimension {code.k}, not {m + 1}")
     return code
 
 
@@ -57,5 +58,6 @@ def rm1_fixed(m: int) -> LinearCode:
     if m not in RM_FIXED_ROWS:
         raise InputError(f"no fixed generator matrix for m={m}")
     code = LinearCode(len(RM_FIXED_ROWS[m][0]), RM_FIXED_ROWS[m])
-    assert code.k == m + 1
+    if code.k != m + 1:
+        raise AssertionError(f"fixed RM(1,{m}) has dimension {code.k}, not {m + 1}")
     return code

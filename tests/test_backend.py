@@ -21,10 +21,12 @@ from fourweight.cover import (
     _column_syndromes,
     _extension_blocks,
     _free_columns,
+    _leader_blocks,
     _relaxed_tiles,
     _split_columns,
-    _sweep_radius,
     coset_filter,
+    covering_radius,
+    leader_histogram,
     leader_profile,
     leader_weights,
     valid_extension_vectors,
@@ -153,13 +155,18 @@ def whole_table_oracle(cols, r):
     return dist
 
 
+def _blocks_radius(cols, r):
+    """The covering radius as covering_radius takes it: the max over _leader_blocks."""
+    return max(int(block.max()) for _, block in _leader_blocks(cols, r))
+
+
 def _unrelabelled(head, order, r):
     """The head columns of _split_columns on the original syndrome bits."""
     return permute_bits(head, np.argsort(order), r).tolist()
 
 
 def _leader_regimes(cols, r):
-    """The paths of leader_weights and _sweep_radius that one input takes."""
+    """The paths of leader_weights and _leader_blocks that one input takes."""
     rest = _free_columns(cols, r)
     head, tail, order = _split_columns(rest, r)
     span = _unrelabelled(head, order, r)
@@ -387,7 +394,7 @@ def test_sweep_radius_matches_table_max_in_each_regime():
     seen = []
     for cols, r in _regime_inputs():
         seen.append(_leader_regimes(cols, r))
-        assert _sweep_radius(cols, r) == int(leader_weights(cols, r).max())
+        assert _blocks_radius(cols, r) == int(leader_weights(cols, r).max())
     for regime in REGIMES:
         assert any(regime <= got for got in seen), regime
 
@@ -398,12 +405,12 @@ def test_syndrome_bit_permutation_keeps_radius_and_permutes_table():
     inputs += [_column_syndromes(LinearCode(16, [rng.getrandbits(16) for _ in range(k)])) for k in (3, 7)]
     inputs += [_dependent_columns(rng, 14, 5)]
     for cols, r in inputs:
-        radius, table = _sweep_radius(cols, r), leader_weights(cols, r)
+        radius, table = _blocks_radius(cols, r), leader_weights(cols, r)
         syndromes = np.arange(1 << r, dtype=np.uint64)
         for _ in range(3):
             order = rng.sample(range(r), r)
             image = permute_bits(cols, order, r)
-            assert _sweep_radius(image, r) == radius
+            assert _blocks_radius(image, r) == radius
             # the coset of syndrome s has syndrome permute_bits(s) in the image
             moved = np.empty_like(table)
             moved[permute_bits(syndromes, order, r).astype(np.intp)] = table
@@ -450,8 +457,8 @@ def test_sweep_radius_matches_table_max_on_a8_branch():
     while seeds:
         for code in seeds:
             cols, r = _column_syndromes(code)
-            radii.append(_sweep_radius(cols, r))
-            assert radii[-1] == int(leader_weights(cols, r).max())
+            radii.append(covering_radius(code))
+            assert radii[-1] == _blocks_radius(cols, r) == int(leader_weights(cols, r).max())
             assert leader_profile(code).radius == radii[-1]
         seeds = [rec.code for rec in classify_step(seeds, 8).classes]
     assert len(radii) == 6  # RM(1,5) and the 1/1/2/1 classes at k = 7..10
@@ -461,9 +468,40 @@ def test_sweep_radius_peak_memory_within_two_tiles():
     # filling the 2^23-byte table to take its max took 10.7 MiB traced; with
     # a spill row per subset for the rank-layer folds the sweep took 2.7 tiles
     for cid in ("C_{32,9,5}", "C_{32,11,1}"):
-        code = load_code(cid)
-        peak = _traced_peak(lambda: leader_profile(code).radius)
+        peak = _traced_peak(covering_radius, load_code(cid))
         assert peak <= 2 * LEADER_TILE, (cid, peak / LEADER_TILE)
+
+
+def _bincount_histogram(table):
+    return {w: int(c) for w, c in enumerate(np.bincount(table)) if c}
+
+
+def test_leader_histogram_matches_whole_table_bincount_in_each_regime(monkeypatch):
+    # the inputs are bare (cols, r): hand them to leader_histogram through
+    # its syndrome step, so that every path of _leader_blocks is counted
+    # (test_leader_tables_catalog_digest runs the catalog codes)
+    for cols, r in _regime_inputs():
+        monkeypatch.setattr("fourweight.cover._column_syndromes", lambda code: (cols, r))
+        assert leader_histogram(None) == _bincount_histogram(leader_weights(cols, r))
+
+
+def test_leader_histogram_peak_memory_within_16_mib():
+    # one whole 2^23-byte table, bincounted as int64, peaked at 72 MiB traced
+    peak = _traced_peak(leader_histogram, load_code("C_{32,9,5}"))
+    assert peak <= 16 << 20, peak / (1 << 20)
+
+
+def test_syndrome_zero_is_checked_on_every_path(monkeypatch):
+    # a low bit set in every Hx gives the empty subset weight 1 at syndrome 0,
+    # which no pass lowers; the one check in _relaxed_tiles must see it on the
+    # tile path (C_{16,7,1}) and under the cube passes (C_{8,6})
+    monkeypatch.setattr("fourweight.cover.span_masks", lambda basis: span_masks(basis) ^ np.uint64(1))
+    for cid in ("C_{16,7,1}", "C_{8,6}"):
+        code = load_code(cid)
+        cols, r = _column_syndromes(code)
+        for call in (lambda: covering_radius(code), lambda: leader_histogram(code), lambda: leader_weights(cols, r)):
+            with pytest.raises(AssertionError, match="syndrome 0"):
+                call()
 
 
 def test_valid_extension_vectors_match_unblocked_filter():
@@ -578,11 +616,13 @@ def test_leader_weights_match_popcount_relaxation_on_a8_branch():
 def test_leader_tables_catalog_digest():
     digest = hashlib.sha256()
     for cid in all_ids():
-        cols, r = _column_syndromes(load_code(cid))
+        code = load_code(cid)
+        cols, r = _column_syndromes(code)
         table = leader_weights(cols, r)
         digest.update(table.tobytes())
-        # the radius sweep, on relabelled syndrome bits, against the pinned table
-        assert _sweep_radius(cols, r) == int(table.max()), cid
+        # the radius and the histogram, on relabelled syndrome bits, against the pinned table
+        assert _blocks_radius(cols, r) == int(table.max()), cid
+        assert leader_histogram(code) == _bincount_histogram(table), cid
     assert digest.hexdigest() == CATALOG_LEADER_SHA256
 
 

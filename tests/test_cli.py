@@ -10,6 +10,7 @@ from fourweight._bits import SPAN_GUARD, support_to_mask
 from fourweight.canonical import DIM_GUARD
 from fourweight.catalog import load_code
 from fourweight.cli import main
+from fourweight.errors import InputError
 from fourweight.linear import LinearCode
 from fourweight.reedmuller import rm1, rm1_fixed
 
@@ -88,6 +89,24 @@ def test_check_bad_file(capsys, tmp_path):
     bad.write_text("not a code\n")
     status, _, err = run_cli(capsys, "check", str(bad))
     assert status == 2 and "error" in err
+
+
+def test_check_header_not_integers(capsys, tmp_path):
+    bad = tmp_path / "bad.code"
+    bad.write_text("8 four\n11111111\n")
+    status, out, err = run_cli(capsys, "check", str(bad))
+    assert status == 2 and out == "" and "expected integers" in err
+
+
+def test_check_directory_path(capsys, tmp_path):
+    status, out, err = run_cli(capsys, "check", str(tmp_path))
+    assert status == 2 and out == "" and "cannot read" in err
+
+
+def test_row_wider_than_length_is_input_error():
+    # an InputError, which main reports with exit 2
+    with pytest.raises(InputError, match="does not fit"):
+        LinearCode(4, [16])
 
 
 def test_wdist(capsys, code_file):

@@ -53,6 +53,17 @@ def test_src_defines_no_test_only_names():
     assert not unused, unused
 
 
+def test_src_has_no_bare_assert():
+    # python -O strips assert statements; a result check must raise explicitly
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not asserts, asserts
+
+
 # build_quwm_set keeps `cert` because perfbench's verify32 replay passes one
 # by position; ROADMAP item 1 rewrites that replay and then drops it
 CERT_PARAMETER_ALLOWED = {"build_quwm_set"}
