@@ -1,29 +1,32 @@
 """Covering radius via a syndrome-space sweep, and the maximality test.
 
 The coset-leader table holds one byte for each of the 2^(n-k) syndromes,
-instead of scanning 2^n vectors.  The n-k pivot coordinates of the dual
-basis have the unit syndromes, so a leader spends some subset x of the k
-other coordinates plus unit columns, and the least leader weight is
-dist(s) = min over x of wt(x) + popcount(s ^ Hx).  The sweep relabels the
-syndrome bits so that the pivots of up to ENUM_CAP independent columns
-are the top e bits, which keeps every leader weight.  Popcount is a sum
-over bits, so splitting s into its top e bits and the rest is exact:
-each subset of those e columns fills a row of its own with its popcount
-over the low bits, and the top e unit columns are spent by one
-contiguous pass per bit.  The passes relax dist + popcount(row) rather
-than dist, so each takes three ufunc calls, not four, and one subtract
-per tile removes the lift.  Neither step mixes low columns, so the table
-is built one L2-sized tile of low columns at a time (see
-leader_weights); the other columns, dependent or beyond the cap, then
-relax the whole table one pass each.  covering_radius (a max) and
-leader_histogram (a bincount) reduce the same blocks (see
-_leader_blocks): on every table code no column is left over, the blocks
-are the tiles, and neither holds the table.  Maximality of a qualifying code asks whether some coset
-could extend it within the same weight set; when the weight set is
-doubly even any extension vector must lie in the dual, so the scan
-shrinks to the 2^(n-2k) cosets of C inside C-perp, filtered one block of
-REP_BLOCK representatives at a time.  The filter is a sieve whose steps
-test popcounts by equality against the allowed weights and compact the
+instead of scanning 2^n vectors: with the parity rows in reduced
+row-echelon form a leader spends a subset x of the k non-pivot columns
+plus unit columns, so dist(s) = min over x of wt(x) + popcount(s ^ Hx).
+Up to ENUM_CAP independent columns, on syndrome bits relabelled so that
+their pivots are the top e bits, fill one table row per subset and are
+spent by one pass per top bit, one L2-sized tile of low columns at a
+time (see leader_weights); the other columns, dependent or beyond the
+cap, then relax the whole table one pass each.  covering_radius (a max)
+and leader_histogram (a bincount) reduce the same blocks (see
+_leader_blocks): on every length-32 table code no column is left over,
+the blocks are the tiles, and neither holds the table.
+
+Both sweep an even code C through its puncture C* at the last coordinate
+(see _punctured), which has half the syndromes (the extension theorem of
+Cohen, Honkala, Litsyn & Lobstein, Covering Codes, 1997).  Write y = (y*, b):
+  every c in C is even, so d(y, c) has the parity of wt(y) and is d(y*, c*) or d(y*, c*) + 1;
+  rounding up to a parity is monotone, so d(y, C) is d(y*, C*) rounded up to the parity of wt(y);
+  the two y over each y* have both parities, so R = R* + 1 and h[w] = h*[w] + h*[w - 1].
+leader_weights(*_column_syndromes(code)) stays the code's own table.
+
+Maximality of a qualifying code asks whether some coset could extend it
+within the same weight set; when the weight set is doubly even any
+extension vector must lie in the dual, so the scan shrinks to the
+2^(n-2k) cosets of C inside C-perp, filtered one block of REP_BLOCK
+representatives at a time.  The filter is a sieve whose steps test
+popcounts by equality against the allowed weights and compact the
 surviving representatives by index (see coset_filter).
 """
 
@@ -166,11 +169,9 @@ def leader_weights(cols: np.ndarray, r: int) -> np.ndarray:
 
     cols[j] is the syndrome of the j-th unit vector over r parity rows in
     reduced row-echelon form, so every unit syndrome 1 << i is among the
-    columns; the others are the non-pivot columns h.  Spending unit
-    columns alone on top of a subset x of the h's reaches s at weight
-    popcount(s ^ Hx), so
-
-        dist(s) = min over subsets x of wt(x) + popcount(s ^ Hx).
+    columns and the others are the non-pivot columns h.  Spending unit
+    columns on top of a subset x of the h's gives
+    dist(s) = min over subsets x of wt(x) + popcount(s ^ Hx).
 
     The h's split into a head of e <= ENUM_CAP independent columns, on
     syndrome bits relabelled so that their pivots are the top e bits, and
@@ -182,19 +183,12 @@ def leader_weights(cols: np.ndarray, r: int) -> np.ndarray:
     spent by one half-block pass per bit, which pairs rows only, never low
     columns (see _relaxed_tiles for the lift that makes a pass three calls).
 
-    So the table is built one tile at a time: all 2^e rows times a block
-    of low columns, one contiguous buffer of LEADER_TILE bytes.  A tile
-    stays in a core's L2 cache from its fill through all e passes; a pass
-    over the whole table would stream 4-32 MiB through memory per bit
-    instead.  Each tile is then written once into the table, in syndrome
-    index order through the transposed (2,)*r view, so undoing the
-    relabelling needs no second 2^r-byte buffer.  The fill adds two
-    per-syndrome popcount tables by broadcasting: one over the low bits of
-    a quarter of a tile row (a quarter tile, so that each add writes long
-    contiguous rows) and a small one over the low bits above them.  Besides
-    the table, the sweep holds the tile, half a tile of pass scratch and
-    that quarter tile; covering_radius and leader_histogram read the tiles
-    without the table when the tail is empty (see _leader_blocks).
+    So the table is built one tile at a time, all 2^e rows times a block
+    of low columns in one LEADER_TILE buffer that stays in a core's L2
+    cache through its fill and all e passes; the fill adds two popcount
+    tables by broadcasting (see _relaxed_tiles).  Each tile is written once
+    into the table, in syndrome index order through the transposed (2,)*r
+    view, so undoing the relabelling needs no second 2^r-byte buffer.
     The tail columns then relax the whole table one pass each,
     dist[s] = min(dist[s], dist[s ^ h] + 1), through a reversed-axis view
     of the 2x...x2 cube, in place and one chunk of half a tile of scratch
@@ -230,12 +224,21 @@ def leader_weights(cols: np.ndarray, r: int) -> np.ndarray:
 
 
 def _leader_blocks(cols: np.ndarray, r: int):
-    """(first low column, block) pairs holding each leader weight once: the relaxed tiles,
-    each overwritten by the next, or, when a tail column needs the cube passes, the whole table."""
+    """(first column, block) pairs holding each leader weight once: the relaxed tiles, each
+    overwritten by the next, or, when a tail column needs the cube passes, LEADER_TILE slices of the table."""
     head, tail, _ = _split_columns(_free_columns(cols, r), r)
     if tail:
-        return [(0, leader_weights(cols, r))]
+        table = leader_weights(cols, r)
+        return ((c0, table[c0 : c0 + LEADER_TILE]) for c0 in range(0, table.size, LEADER_TILE))
     return _relaxed_tiles(head, r)
+
+
+def _punctured(code: LinearCode) -> tuple[LinearCode, int]:
+    """(C*, 1) for an even code C, n >= 2, punctured at its last coordinate, else (code, 0): even
+    rows are never the word 0...01, so that coordinate is no pivot and the rows >> 1 are C*'s RREF."""
+    if code.n > 1 and not any(row.bit_count() & 1 for row in code.row_masks):
+        return LinearCode(code.n - 1, [row >> 1 for row in code.row_masks]), 1
+    return code, 0
 
 
 def coset_filter(words: np.ndarray, reps: np.ndarray, allowed: int) -> np.ndarray:
@@ -273,14 +276,30 @@ def coset_filter(words: np.ndarray, reps: np.ndarray, allowed: int) -> np.ndarra
 
 
 def covering_radius(code: LinearCode) -> int:
-    """Exact covering radius: the largest coset-leader weight, swept block by block (see _leader_blocks)."""
-    return max(int(block.max()) for _, block in _leader_blocks(*_column_syndromes(code)))
+    """Exact covering radius: the largest coset-leader weight, swept block by block (see _leader_blocks).
+
+    An even code C is swept through its puncture C* (see _punctured).  Write y = (y*, b):
+      every c in C is even, so d(y, c) has the parity of wt(y) and is d(y*, c*) or d(y*, c*) + 1;
+      rounding up to a parity is monotone, so d(y, C) is d(y*, C*) rounded up to the parity of wt(y);
+      the two y over each y* have both parities, so R = R* + 1.
+    """
+    swept, shift = _punctured(code)
+    return shift + max(int(block.max()) for _, block in _leader_blocks(*_column_syndromes(swept)))
 
 
 def leader_histogram(code: LinearCode) -> dict[int, int]:
-    """Syndromes per least coset-leader weight, counted block by block; the largest key is the radius."""
-    cols, r = _column_syndromes(code)
+    """Syndromes per least coset-leader weight, counted block by block; the largest key is the radius.
+
+    An even code C is counted through its puncture C* (see _punctured).  Write y = (y*, b):
+      every c in C is even, so d(y, c) has the parity of wt(y) and is d(y*, c*) or d(y*, c*) + 1;
+      rounding up to a parity is monotone, so d(y, C) is d(y*, C*) rounded up to the parity of wt(y);
+      the two y over each y* have both parities, so h[w] = h*[w] + h*[w - 1].
+    leader_weights(*_column_syndromes(code)) stays the code's own table, which this counts.
+    """
+    swept, shift = _punctured(code)
+    cols, r = _column_syndromes(swept)
     counts = sum(np.bincount(block.ravel(), minlength=r + 1) for _, block in _leader_blocks(cols, r))
+    counts = np.convolve(counts, np.ones(shift + 1, dtype=np.int64))
     return {w: int(c) for w, c in enumerate(counts) if c}
 
 
@@ -355,7 +374,8 @@ def is_maximal(code: LinearCode, radius: int | None = None) -> MaximalityResult:
     """
     cert = require_certificate(code)
     bound = code.n // 2 - cert.a
-    if radius is None and code.n - code.k <= SYNDROME_GUARD:
+    swept, _ = _punctured(code)
+    if radius is None and swept.n - swept.k <= SYNDROME_GUARD:
         radius = covering_radius(code)
     if radius is not None and radius < bound:
         return MaximalityResult(maximal=True, path="fast", witness=None, radius=radius)

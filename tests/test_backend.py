@@ -22,6 +22,7 @@ from fourweight.cover import (
     _extension_blocks,
     _free_columns,
     _leader_blocks,
+    _punctured,
     _relaxed_tiles,
     _split_columns,
     coset_filter,
@@ -429,6 +430,9 @@ def test_relabelled_sweep_fills_rows_directly_on_table_codes():
     assert len(codes) == 196 + 6
     for code in codes:
         assert _leader_regimes(*_column_syndromes(code)) >= {"no tail", "several tiles"}
+        # the sweep runs the puncture of these even codes, which has no tail either
+        swept, shift = _punctured(code)
+        assert shift == 1 and "no tail" in _leader_regimes(*_column_syndromes(swept))
     assert "dependent tail" in _leader_regimes(*_column_syndromes(load_code("C_{8,6}")))
     assert "dependent tail" in _leader_regimes(*_dependent_columns(random.Random(12), 10, 4))
 
@@ -477,9 +481,11 @@ def _bincount_histogram(table):
 
 
 def test_leader_histogram_matches_whole_table_bincount_in_each_regime(monkeypatch):
-    # the inputs are bare (cols, r): hand them to leader_histogram through
-    # its syndrome step, so that every path of _leader_blocks is counted
-    # (test_leader_tables_catalog_digest runs the catalog codes)
+    # the inputs are bare (cols, r), not codes: hand them to leader_histogram
+    # through its syndrome step, unpunctured, so that every path of
+    # _leader_blocks is counted (test_leader_tables_catalog_digest runs the
+    # catalog codes through their punctures)
+    monkeypatch.setattr("fourweight.cover._punctured", lambda code: (code, 0))
     for cols, r in _regime_inputs():
         monkeypatch.setattr("fourweight.cover._column_syndromes", lambda code: (cols, r))
         assert leader_histogram(None) == _bincount_histogram(leader_weights(cols, r))
@@ -488,6 +494,12 @@ def test_leader_histogram_matches_whole_table_bincount_in_each_regime(monkeypatc
 def test_leader_histogram_peak_memory_within_16_mib():
     # one whole 2^23-byte table, bincounted as int64, peaked at 72 MiB traced
     peak = _traced_peak(leader_histogram, load_code("C_{32,9,5}"))
+    assert peak <= 16 << 20, peak / (1 << 20)
+    # on the cube path the 2^22-byte table, bincounted whole, peaked at 36 MiB
+    rng = random.Random(36)
+    code = LinearCode(36, [rng.getrandbits(36) for _ in range(14)])
+    assert _punctured(code)[1] == 0 and "k > cap" in _leader_regimes(*_column_syndromes(code))
+    peak = _traced_peak(leader_histogram, code)
     assert peak <= 16 << 20, peak / (1 << 20)
 
 

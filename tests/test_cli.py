@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -10,6 +11,7 @@ from fourweight._bits import SPAN_GUARD, support_to_mask
 from fourweight.canonical import DIM_GUARD
 from fourweight.catalog import load_code
 from fourweight.cli import main
+from fourweight.cover import SYNDROME_GUARD
 from fourweight.errors import InputError
 from fourweight.linear import LinearCode
 from fourweight.reedmuller import rm1, rm1_fixed
@@ -186,6 +188,21 @@ def test_covrad(capsys, code_file):
     payload = json.loads(out)
     validate(payload, "covrad")
     assert payload["radius"] == 4
+
+
+def test_covrad_sweeps_the_even_all_ones_code_of_length_28(capsys, code_file):
+    # the guard bounds the table swept: 2^26 syndromes of the punctured
+    # [27,1] code; the leader of a coset {y, y + 1} has weight min(wt y, 28 - wt y)
+    status, out, err = run_cli(capsys, "--format", "json", "covrad", code_file(LinearCode(28, [(1 << 28) - 1])))
+    assert status == 0 and err == ""
+    payload = json.loads(out)
+    validate(payload, "covrad")
+    assert payload["radius"] == 14
+    expect = {w: math.comb(28, w) for w in range(14)} | {14: math.comb(28, 14) // 2}
+    assert payload["leader_weight_histogram"] == {str(w): c for w, c in expect.items()}
+    # an odd [28,1] code is swept whole: 2^27 syndromes exceed the guard
+    status, out, err = run_cli(capsys, "covrad", code_file(LinearCode(28, [1])))
+    assert status == 3 and out == "" and err.startswith(f"capacity: syndrome table 2^27 exceeds guard 2^{SYNDROME_GUARD}")
 
 
 def test_maximal(capsys, code_file):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import numpy as np
@@ -9,14 +10,17 @@ from fourweight.canonical import apply_permutation, are_equivalent
 from fourweight.conditions import admissible_offsets, reference_rm, require_certificate
 from fourweight.cover import (
     CosetLeaderProfile,
+    _column_syndromes,
+    _punctured,
     covering_radius,
     is_maximal,
     leader_histogram,
     leader_profile,
+    leader_weights,
     valid_extension_vectors,
 )
 from fourweight.errors import CapacityError
-from fourweight.linear import LinearCode, even_weight_code
+from fourweight.linear import LinearCode, even_weight_code, full_space
 from fourweight.reedmuller import rm1
 
 from conftest import random_permutation
@@ -52,6 +56,55 @@ def test_radius_matches_bruteforce_on_random_codes(n, rows):
     # at most 10 rows: the brute-force oracle does 2^(n+k) word checks
     code = LinearCode(n, [row & ((1 << n) - 1) for row in rows])
     assert covering_radius(code) == covering_radius_bruteforce(code)
+
+
+def _even(rows, n):
+    """The rows with the last coordinate set to each row's parity, so every row is even."""
+    return [(row & ((1 << n) - 1)) ^ ((row & ((1 << n) - 1)).bit_count() & 1) for row in rows]
+
+
+def _assert_own_table_histogram(code):
+    # the code's own table, which leader_weights keeps building, against the
+    # histogram leader_histogram takes through the puncture
+    table = leader_weights(*_column_syndromes(code))
+    assert leader_histogram(code) == {w: int(c) for w, c in enumerate(np.bincount(table)) if c}
+
+
+def test_even_codes_match_bruteforce_through_their_puncture():
+    # R = R* + 1 against the 2^n-vector oracle, h[w] = h*[w] + h*[w - 1]
+    # against the code's own table
+    rng = random.Random(28)
+    for n in (2, 3, 5, 8, 11, 14, 16):
+        for k in (0, 1, n // 2, n - 2, n - 1):
+            code = LinearCode(n, _even([rng.getrandbits(n) for _ in range(min(k, 10))], n))
+            # no pivot on the last coordinate: the shifted rows are C*'s RREF, of the same k
+            swept, shift = _punctured(code)
+            assert shift == 1 and swept.row_masks == tuple(row >> 1 for row in code.row_masks), code.row_masks
+            assert covering_radius(code) == covering_radius_bruteforce(code), (n, code.row_masks)
+            _assert_own_table_histogram(code)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=16),
+    rows=st.lists(st.integers(min_value=0, max_value=(1 << 16) - 1), max_size=10),
+)
+def test_radius_matches_bruteforce_on_random_even_codes(n, rows):
+    code = LinearCode(n, _even(rows, n))
+    assert covering_radius(code) == covering_radius_bruteforce(code)
+    _assert_own_table_histogram(code)
+
+
+def test_odd_codes_are_swept_unpunctured():
+    # F_2^n has radius 0; its puncture, shifted, would give 1
+    for n in (1, 2, 7, 16):
+        assert _punctured(full_space(n))[1] == 0
+        assert covering_radius(full_space(n)) == 0
+        assert leader_histogram(full_space(n)) == {0: 1}
+    # the zero code of length n >= 2 is even: every vector is its own coset leader
+    for n in (2, 9):
+        assert covering_radius(LinearCode(n)) == n
+        assert leader_histogram(LinearCode(n)) == {w: math.comb(n, w) for w in range(n + 1)}
 
 
 def test_radius_matches_bruteforce_on_high_dimension():
