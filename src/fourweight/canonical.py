@@ -369,26 +369,23 @@ def automorphism_generators(code: LinearCode) -> tuple[tuple[int, ...], ...]:
 
 def are_equivalent(c1: LinearCode, c2: LinearCode) -> bool:
     """True iff the codes differ by a coordinate permutation."""
-    if c1.n != c2.n or c1.k != c2.k:
-        return False
-    if c1.k == 0:
-        return True  # both are the zero code, which has no canonical form
-    if c1.weight_distribution() != c2.weight_distribution():
-        return False
-    return canonical_form(c1).key == canonical_form(c2).key
+    return equivalence_witness(c1, c2) is not None
 
 
 def equivalence_witness(c1: LinearCode, c2: LinearCode):
-    """A permutation sigma with sigma(c1) == c2, or None."""
-    if not are_equivalent(c1, c2):
+    """A permutation sigma with sigma(c1) == c2, or None; one canonical form per code."""
+    if c1.n != c2.n or c1.k != c2.k:
         return None
     if c1.k == 0:
-        return tuple(range(c1.n))
-    w1 = canonical_form(c1).witness
-    w2 = canonical_form(c2).witness
+        return tuple(range(c1.n))  # both are the zero code, which has no canonical form
+    if c1.weight_distribution() != c2.weight_distribution():
+        return None
+    f1, f2 = canonical_form(c1), canonical_form(c2)
+    if f1.key != f2.key:
+        return None
     sigma = [0] * c1.n
     for t in range(c1.n):
-        sigma[w1[t]] = w2[t]
+        sigma[f1.witness[t]] = f2.witness[t]
     if apply_permutation(c1, sigma) != c2:
         raise AssertionError("the witness permutation does not map c1 onto c2")
     return tuple(sigma)

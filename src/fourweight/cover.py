@@ -9,7 +9,7 @@ their pivots are the top e bits, fill one table row per subset and are
 spent by one pass per top bit, one L2-sized tile of low columns at a
 time (see leader_weights); the other columns, dependent or beyond the
 cap, then relax the whole table one pass each.  covering_radius (a max)
-and leader_histogram (a bincount) reduce the same blocks (see
+and leader_histogram (a count per weight) reduce the same blocks (see
 _leader_blocks): on every length-32 table code no column is left over,
 the blocks are the tiles, and neither holds the table.
 
@@ -26,8 +26,8 @@ within the same weight set; when the weight set is doubly even any
 extension vector must lie in the dual, so the scan shrinks to the
 2^(n-2k) cosets of C inside C-perp, filtered one block of REP_BLOCK
 representatives at a time.  The filter is a sieve whose steps test
-popcounts by equality against the allowed weights and compact the
-surviving representatives by index (see coset_filter).
+popcounts by equality against the allowed weights and keep the
+surviving representatives themselves (see coset_filter).
 """
 
 from __future__ import annotations
@@ -241,47 +241,36 @@ def _punctured(code: LinearCode) -> tuple[LinearCode, int]:
     return code, 0
 
 
-def coset_filter(words: np.ndarray, reps: np.ndarray, allowed: int) -> np.ndarray:
-    """Boolean mask: coset rep r survives iff every wt(w ^ r) has its bit set in allowed.
+def coset_filter(words: np.ndarray, reps: np.ndarray, weights: tuple[int, ...]) -> np.ndarray:
+    """The coset reps r, in input order, for which every wt(w ^ r) is among weights.
 
     A shrinking sieve: at each step the surviving reps meet the next block
     of max(1, SIEVE_BLOCK // live reps) codewords, so most reps are dropped
     after the first few words, and a step's temporaries stay cache-sized:
     at most max(live reps, SIEVE_BLOCK) entries.  A step tests each popcount
-    by equality against the allowed weights, ORed into one bool array, and
-    compacts the survivors by one flatnonzero and two integer takes; a
-    gather from a 65-entry weight table and two boolean-mask indexings cost
-    several times as much and do no arithmetic.
+    by equality against the weights, ORed into one bool array (all False
+    for empty weights, which reject every rep), and keeps the survivors by
+    one flatnonzero and one integer take; a gather from a weight table and
+    a boolean-mask indexing cost several times as much.
     """
-    # with no bit of 0..64 set, test against 65, which no popcount reaches
-    weights = [w for w in range(65) if (allowed >> w) & 1] or [65]
-    idx = np.arange(reps.size)
-    live = reps
     lo = 0
-    while idx.size and lo < words.size:
-        block = words[lo : lo + max(1, SIEVE_BLOCK // live.size)]
+    while reps.size and lo < words.size:
+        block = words[lo : lo + max(1, SIEVE_BLOCK // reps.size)]
         # words on the first axis: all() then ANDs whole rows, which is
         # about twice as fast as reducing short rows along the last axis
-        pop = np.bitwise_count(block[:, None] ^ live[None, :])
-        ok = pop == weights[0]
+        pop = np.bitwise_count(block[:, None] ^ reps[None, :])
+        ok = pop == weights[0] if weights else np.zeros(pop.shape, dtype=bool)
         for w in weights[1:]:
             ok |= pop == w
-        keep = np.flatnonzero(ok.all(axis=0))
-        live = live.take(keep)
-        idx = idx.take(keep)
+        reps = reps.take(np.flatnonzero(ok.all(axis=0)))
         lo += block.size
-    out = np.zeros(reps.size, dtype=bool)
-    out[idx] = True
-    return out
+    return reps
 
 
 def covering_radius(code: LinearCode) -> int:
     """Exact covering radius: the largest coset-leader weight, swept block by block (see _leader_blocks).
 
-    An even code C is swept through its puncture C* (see _punctured).  Write y = (y*, b):
-      every c in C is even, so d(y, c) has the parity of wt(y) and is d(y*, c*) or d(y*, c*) + 1;
-      rounding up to a parity is monotone, so d(y, C) is d(y*, C*) rounded up to the parity of wt(y);
-      the two y over each y* have both parities, so R = R* + 1.
+    An even code C is swept through its puncture C*, and R = R* + 1 (see the module docstring).
     """
     swept, shift = _punctured(code)
     return shift + max(int(block.max()) for _, block in _leader_blocks(*_column_syndromes(swept)))
@@ -290,15 +279,17 @@ def covering_radius(code: LinearCode) -> int:
 def leader_histogram(code: LinearCode) -> dict[int, int]:
     """Syndromes per least coset-leader weight, counted block by block; the largest key is the radius.
 
-    An even code C is counted through its puncture C* (see _punctured).  Write y = (y*, b):
-      every c in C is even, so d(y, c) has the parity of wt(y) and is d(y*, c*) or d(y*, c*) + 1;
-      rounding up to a parity is monotone, so d(y, C) is d(y*, C*) rounded up to the parity of wt(y);
-      the two y over each y* have both parities, so h[w] = h*[w] + h*[w - 1].
-    leader_weights(*_column_syndromes(code)) stays the code's own table, which this counts.
+    Each weight between a block's least and largest is counted on the uint8
+    block itself, which a bincount would first widen to int64.  An even code
+    C is counted through its puncture C*, and h[w] = h*[w] + h*[w - 1] (see
+    the module docstring).
     """
     swept, shift = _punctured(code)
     cols, r = _column_syndromes(swept)
-    counts = sum(np.bincount(block.ravel(), minlength=r + 1) for _, block in _leader_blocks(cols, r))
+    counts = np.zeros(r + 1, dtype=np.int64)
+    for _, block in _leader_blocks(cols, r):
+        for w in range(int(block.min()), int(block.max()) + 1):
+            counts[w] += np.count_nonzero(block == w)
     counts = np.convolve(counts, np.ones(shift + 1, dtype=np.int64))
     return {w: int(c) for w, c in enumerate(counts) if c}
 
@@ -350,19 +341,12 @@ def valid_extension_vectors(code: LinearCode, a: int) -> np.ndarray:
     """All coset reps x with every weight of x + code in {n/2-a, n/2, n/2+a}, a sorted uint64 array.
 
     The reps are filtered one block of REP_BLOCK at a time, so the sweep
-    holds a block and its sieve temporaries besides the survivors; a
-    block's survivors are taken by index, as inside the sieve.
+    holds a block and its sieve temporaries besides the survivors.
     """
     n = code.n
-    allowed_mask = 0
-    for w in (n // 2 - a, n // 2, n // 2 + a):
-        allowed_mask |= 1 << w
+    weights = (n // 2 - a, n // 2, n // 2 + a)
     words = code.words()
-    blocks = [
-        reps.take(np.flatnonzero(coset_filter(words, reps, allowed_mask)))
-        for reps in _extension_blocks(code, a)
-    ]
-    return np.sort(np.concatenate(blocks))
+    return np.sort(np.concatenate([coset_filter(words, reps, weights) for reps in _extension_blocks(code, a)]))
 
 
 def is_maximal(code: LinearCode, radius: int | None = None) -> MaximalityResult:

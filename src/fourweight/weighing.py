@@ -151,7 +151,9 @@ class QuwmSet:
 
         H_i must be a weighing matrix of weight n, and (1/sqrt(a)) H_i H_j^T
         one of weight l for each i < j; row block i takes every H_i H_j^T,
-        j > i, from one batched product.
+        j > i, from one batched product.  A passing product has exactly l
+        nonzeros in every row, so zero_counts_per_row is (n - l,) when some
+        pair passes and () when none does.
         """
         n, a, l = self.params.n, self.params.a, self.params.l
         if any(np.shape(h) != (n, n) for h in self.matrices):
@@ -168,17 +170,14 @@ class QuwmSet:
         f = h.astype(np.float64)
         hadamard_ok = tuple(_weighing_checks(f, 1, n).tolist())
         failed: list[tuple[int, int]] = []
-        zero_counts: set[int] = set()
         for i in range(len(f) - 1):
             p = np.matmul(f[i], f[i + 1 :].transpose(0, 2, 1))
-            ok = _weighing_checks(p, a, l)
-            failed += [(i, i + 1 + int(j)) for j in np.flatnonzero(~ok)]
-            zero_counts.update((p[ok] == 0).sum(axis=2).ravel().tolist())
+            failed += [(i, i + 1 + int(j)) for j in np.flatnonzero(~_weighing_checks(p, a, l))]
         return QuwmVerification(
             all_pass=all(hadamard_ok) and not failed,
             hadamard_ok=hadamard_ok,
             failed_pairs=tuple(failed),
-            zero_counts_per_row=tuple(sorted(zero_counts)),
+            zero_counts_per_row=(n - l,) if len(failed) < len(f) * (len(f) - 1) // 2 else (),
         )
 
 

@@ -75,6 +75,22 @@ def test_equivalence_of_permuted_copy(rng, n16_codes):
     assert w is not None and apply_permutation(code, w) == image
 
 
+def test_equivalence_witness_asks_for_each_form_once(rng, n16_codes, monkeypatch):
+    # asking are_equivalent for both forms, then for both again, made 4 calls
+    calls = []
+
+    def counted(code):
+        calls.append(code)
+        return _canonicalize(code)
+
+    monkeypatch.setattr("fourweight.canonical._canonicalize", counted)
+    code = n16_codes["C_{16,7,2}"]
+    image = apply_permutation(code, random_permutation(rng, 16))
+    w = equivalence_witness(code, image)
+    assert w is not None and apply_permutation(code, w) == image
+    assert calls == [code, image]
+
+
 def test_witness_check_survives_optimize(tmp_path):
     # with apply_permutation patched to leave the code as it is, the check of
     # the witness must still raise under python -O, and the CLI exit with 4
