@@ -5,7 +5,20 @@ weights are exactly {n/2 - a, n/2, n/2 + a, n} and which contain a fixed
 first-order Reed-Muller code, and builds from each such code a set of
 2^(k-m-1) Hadamard matrices that are pairwise quasi-unbiased weighing
 matrices for parameters (n, n, (n/2a)^2, 4a^2).
+
+numpy loads here with one OpenBLAS thread unless the caller set a thread variable:
+no product in the package gains from a second one, which spins on the other CPU.
 """
+
+import os
+import sys
+
+if "numpy" not in sys.modules and not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from fourweight.linear import LinearCode, WeightDistribution
 from fourweight.reedmuller import rm1, rm1_fixed

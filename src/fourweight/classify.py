@@ -186,7 +186,7 @@ def classify_all(n: int, allow_long: bool = False) -> list[ClassificationReport]
     if n == 32 and not allow_long:
         raise CapacityError(
             "length-32 classification scans ~10^6 extension cosets per branch and "
-            "takes 5-10 s and 49 MiB of RSS on 2 CPUs; rerun with allow_long=True (--allow-long)"
+            "takes 4.5-10 s and 49 MiB of RSS on 2 CPUs; rerun with allow_long=True (--allow-long)"
         )
     m = n.bit_length() - 1
     seed = reference_rm(m)

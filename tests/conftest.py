@@ -97,11 +97,17 @@ def extension_reps(code, a):
     return np.concatenate(list(_extension_blocks(code, a)))
 
 
-def fresh_stdout(code: str, *flags: str) -> str:
+def fresh_stdout(code: str, *flags: str, env: dict[str, str | None] | None = None) -> str:
     """The stripped stdout of `code` run with interpreter flags in a new process
-    that imports this fourweight and, by module name, these tests."""
+    that imports this fourweight and, by module name, these tests; `env` sets
+    that process's variables, and a None value removes one."""
     src = os.path.dirname(os.path.dirname(fourweight.__file__))
     path = [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    out = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env, check=True)
+    environ = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    for name, value in (env or {}).items():
+        if value is None:
+            environ.pop(name, None)
+        else:
+            environ[name] = value
+    out = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True, env=environ, check=True)
     return out.stdout.strip()

@@ -221,7 +221,7 @@ def test_criterion_8_property_suite(capsys, rng):
     reason="length-32 reclassification skipped by request",
 )
 def test_criterion_9_stretch_classify32(capsys):
-    # 5-10 s and 49 MiB of RSS cold on 2 CPUs: orbit reduction under the discovered automorphisms
+    # 4.5-10 s and 49 MiB of RSS cold on 2 CPUs: orbit reduction under the discovered automorphisms
     # keeps the candidate space small enough to rerun routinely
     from fourweight.catalog import parse_id
     from fourweight.classify import classify_all

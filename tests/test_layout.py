@@ -5,7 +5,10 @@ Test-only helpers and oracles belong under tests/ (see tests/oracles.py).
 
 import ast
 import inspect
+import os
 from pathlib import Path
+
+import pytest
 
 import fourweight
 
@@ -117,3 +120,74 @@ def test_verify_paper_starts_no_thread():
         "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)), threading.active_count())\n"
     )
     assert fresh_stdout(code) == "[] 1"
+
+
+# OpenBLAS reads these when numpy loads; fourweight's import sets the first
+# to 1 for that moment only, unless the caller set any of them
+NO_THREAD_VARIABLE = dict.fromkeys(("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+
+needs_two_cpus = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+    reason="counts this process's threads in /proc/self/task on a host with two CPUs or more",
+)
+
+THREADS_AFTER_IMPORT = (
+    "import os\n"
+    "before = dict(os.environ)\n"
+    "import fourweight\n"
+    "from fourweight import canonical_form, load_code\n"
+    "canonical_form(load_code('C_{32,10,1}'))\n"
+    "print(len(os.listdir('/proc/self/task')), dict(os.environ) == before)\n"
+)
+
+
+@needs_two_cpus
+def test_import_loads_openblas_with_one_thread():
+    # no helper thread to spin after the canonical setup's float32 products
+    # (without the rule OpenBLAS starts one: "2 True"), and the variable is gone again
+    assert fresh_stdout(THREADS_AFTER_IMPORT, env=NO_THREAD_VARIABLE) == "1 True"
+
+
+@needs_two_cpus
+def test_caller_thread_variable_overrides_the_one_thread_rule():
+    env = dict(NO_THREAD_VARIABLE, OPENBLAS_NUM_THREADS="2")
+    assert fresh_stdout(THREADS_AFTER_IMPORT, env=env) == "2 True"
+
+
+@needs_two_cpus
+def test_numpy_loaded_first_keeps_its_threads_and_the_environment():
+    code = (
+        "import os, numpy\n"
+        "before = dict(os.environ)\n"
+        "import fourweight\n"
+        "print(len(os.listdir('/proc/self/task')) > 1, dict(os.environ) == before)\n"
+    )
+    assert fresh_stdout(code, env=NO_THREAD_VARIABLE) == "True True"
+
+
+@needs_two_cpus
+def test_one_thread_and_two_thread_processes_agree():
+    # canonical keys and discovered generators along the a = 8 chain at
+    # length 32, and the matrices of one (32,32,4,256) set with every field
+    # of their verification, hashed in a one-thread and a two-thread process
+    code = (
+        "import hashlib, os\n"
+        "from fourweight.canonical import automorphism_generators, canonical_form\n"
+        "from fourweight.catalog import load_code\n"
+        "from fourweight.classify import classify_step\n"
+        "from fourweight.reedmuller import rm1_fixed\n"
+        "from fourweight.weighing import build_quwm_set\n"
+        "h = hashlib.sha256()\n"
+        "seeds = [rm1_fixed(5)]\n"
+        "while seeds:\n"
+        "    for code in seeds:\n"
+        "        h.update(canonical_form(code).key + repr(automorphism_generators(code)).encode())\n"
+        "    seeds = [rec.code for rec in classify_step(seeds, 8).classes]\n"
+        "qs = build_quwm_set(load_code('C_{32,10,1}'))\n"
+        "h.update(b''.join(m.tobytes() for m in qs.matrices) + repr(qs.verify()).encode())\n"
+        "print(len(os.listdir('/proc/self/task')), h.hexdigest())\n"
+    )
+    one = fresh_stdout(code, env=NO_THREAD_VARIABLE).split()
+    two = fresh_stdout(code, env=dict(NO_THREAD_VARIABLE, OPENBLAS_NUM_THREADS="2")).split()
+    assert (one[0], two[0]) == ("1", "2")
+    assert one[1] == two[1]
