@@ -35,7 +35,7 @@ except ImportError:
 
 import numpy as np
 
-from fourweight._bits import pack_bits, permute_bits, rref_masks, span_masks, unpack_bits
+from fourweight._bits import pack_bits, permute_bits, reduce_mask, rref_masks, span_masks, unpack_bits
 from fourweight.errors import CapacityError, InputError
 from fourweight.linear import LinearCode
 
@@ -101,11 +101,12 @@ def _splitmix(x: np.ndarray) -> np.ndarray:
 def _grow_basis(basis: list[int], words: np.ndarray, k: int) -> None:
     """Insert words into an XOR basis until it reaches rank k or the words run out.
 
-    The basis is kept in decreasing order, so its leading bits are distinct
-    and reducing x by b wherever that lowers x clears b's leading bit.  The
-    words are visited at a golden-ratio stride coprime to their number: in
-    span_masks order a class's first words combine the first rows only, so
-    a spanning class reaches rank k after a few words this way.
+    Each word is reduced against the basis in insertion order; what is left
+    is zero on every earlier leading bit, as reduce_mask needs of the next
+    word's basis.  The words are visited at a golden-ratio stride coprime
+    to their number: in span_masks order a class's first words combine the
+    first rows only, so a spanning class reaches rank k after a few words
+    this way.
     """
     size = words.size
     stride = int(size * (5**0.5 - 1) / 2) | 1
@@ -115,13 +116,9 @@ def _grow_basis(basis: list[int], words: np.ndarray, k: int) -> None:
     for _ in range(size):
         if len(basis) == k:
             return
-        x = int(words[j])
-        for b in basis:
-            if x ^ b < x:
-                x ^= b
+        x = reduce_mask(int(words[j]), basis)
         if x:
             basis.append(x)
-            basis.sort(reverse=True)
         j = (j + stride) % size
 
 
@@ -285,7 +282,7 @@ class _Search:
         if self.best_key is not None and trace > self.best_trace[: depth + 1]:
             return None
 
-        ncol = int(colors.max()) + 1
+        ncol, sizes, _ = trace[-1]  # refine's invariant of these colors: cell count, cell sizes
         if ncol == self.n:
             key, perm = self._leaf_key(colors)
             if self.best_key is None or (trace, key) < (self.best_trace, self.best_key):
@@ -305,8 +302,7 @@ class _Search:
                 return diverge[0]
             return None
 
-        sizes = np.bincount(colors, minlength=ncol)
-        target = int(np.flatnonzero(sizes > 1)[0])
+        target = int(np.flatnonzero(np.frombuffer(sizes, dtype=np.intp) > 1)[0])
         tried: list[int] = []
         parent = list(range(self.n))
         seen = 0

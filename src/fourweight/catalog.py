@@ -393,10 +393,10 @@ def _verify_scope_16(report: VerificationReport) -> None:
         f"computed {radii['C_{16,7,1}']}",
     )
     for cid in ("C_{16,7,1}", "C_{16,8,1}", "C_{16,8,2}"):
-        res = is_maximal(codes[cid], radius=radii[cid])
+        res = is_maximal(codes[cid])
         report.add(f"{cid}: maximal", res.maximal, f"path {res.path}")
     for cid in ("C_{16,6,1}", "C_{16,6,2}"):
-        res = is_maximal(codes[cid], radius=radii[cid])
+        res = is_maximal(codes[cid])
         ok = not res.maximal and res.witness is not None
         if ok:
             wit = check_conditions(res.witness)

@@ -21,10 +21,6 @@ class WeightDistribution:
 
     counts: tuple[int, ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.counts) - 1
-
     def __getitem__(self, w: int) -> int:
         return self.counts[w]
 

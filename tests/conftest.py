@@ -56,7 +56,7 @@ def a4_k8_classes():
 # verify-paper --scope <scope>` prints it, per scope.
 VERIFY_PAPER_SHA256 = {
     8: "a56f8e47e6049c955ca6f00e726ff0d86ae9f6ffa609607721d0cb9e0e98cb73",
-    16: "d89e33f6c0a097d607f4411ea82592ed6d0ee4345944c63641c817889e9715a7",
+    16: "6749955c16e32b531bb91e91ad539b536ef5a86776aee18effb00d2d06684bf9",
     32: "02c778d0b381240dadd29ac68e0872c2c1f3c4151d6c9786519ca77220949583",
 }
 
@@ -93,8 +93,9 @@ def matrix_from_text(text: str) -> np.ndarray:
 
 
 def extension_reps(code, a):
-    """The blocks of ``fourweight.cover._extension_blocks``, concatenated."""
-    return np.concatenate(list(_extension_blocks(code, a)))
+    """The blocks of ``fourweight.cover._extension_blocks`` for offset a, concatenated."""
+    n = code.n
+    return np.concatenate(list(_extension_blocks(code, (n // 2 - a, n // 2, n // 2 + a))))
 
 
 def fresh_stdout(code: str, *flags: str, env: dict[str, str | None] | None = None) -> str:

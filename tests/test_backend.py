@@ -546,7 +546,7 @@ def test_valid_extension_vectors_match_unblocked_filter():
         assert got.tolist() == expect
         sizes.append((reps.size, len(expect)))
     assert sizes[0][0] == sizes[1][0] == (1 << 20) - 1
-    assert len(list(_extension_blocks(rm1_fixed(5), 8))) == (1 << 20) // REP_BLOCK
+    assert len(list(_extension_blocks(rm1_fixed(5), (8, 16, 24)))) == (1 << 20) // REP_BLOCK
     assert sizes[1][1] == 219604 and sizes[2][0] == (1 << 14) - 1 and sizes[2][1] > 0
 
 

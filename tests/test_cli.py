@@ -1,16 +1,24 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+from functools import reduce
+from operator import xor
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
 from importlib import resources
 
 from fourweight._bits import SPAN_GUARD, support_to_mask
-from fourweight.canonical import DIM_GUARD
+from fourweight.canonical import DIM_GUARD, apply_permutation
 from fourweight.catalog import load_code
 from fourweight.cli import main
+from fourweight.conditions import reference_rm
 from fourweight.cover import SYNDROME_GUARD
 from fourweight.errors import InputError
 from fourweight.linear import LinearCode
@@ -397,3 +405,51 @@ def test_missing_derived_fixture_names_the_command(monkeypatch):
             catalog._derived()
     finally:
         catalog._derived.cache_clear()
+
+
+def _rows(n, max_size):
+    return st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=max_size)
+
+
+def _rm_plus_rows(m):
+    """RM(1,m) plus up to 4 rows, each random or a sum of products of two RM(1,m) words.
+
+    A product of two affine functions is quadratic, and RM(1,m) plus a
+    quadratic form has at most three weights, so these codes often qualify.
+    """
+    rm = reference_rm(m).row_masks
+    product = st.tuples(st.sampled_from(rm), st.sampled_from(rm)).map(lambda p: p[0] & p[1])
+    quadratic = st.lists(product, min_size=1, max_size=3).map(lambda ps: reduce(xor, ps))
+    row = quadratic | st.integers(min_value=0, max_value=(1 << (1 << m)) - 1)
+    return st.lists(row, max_size=4).map(lambda rows: LinearCode(1 << m, [*rm, *rows]))
+
+
+_random_codes = st.integers(min_value=1, max_value=32).flatmap(
+    lambda n: _rows(n, 8).map(lambda rows: LinearCode(n, rows))
+)
+_rm_codes = st.integers(min_value=0, max_value=5).flatmap(_rm_plus_rows)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(code=_random_codes | _rm_codes, fmt=st.sampled_from(("text", "json")), shuffle=st.randoms())
+def test_exit_contract_on_random_codes(code, fmt, shuffle):
+    # every command ends in 0 pass, 1 claim failed, 2 bad input or 3
+    # capacity; 4 (an internal error) is never an answer
+    order = list(range(code.n))
+    shuffle.shuffle(order)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, image = Path(tmp) / "a.code", Path(tmp) / "b.code"
+        code.save(path)
+        apply_permutation(code, order).save(image)
+        for argv in (
+            ["check", str(path)],
+            ["wdist", str(path)],
+            ["covrad", str(path)],
+            ["maximal", str(path)],
+            ["equiv", str(path), str(image)],
+            ["quwm", "--code", str(path), "--out", str(Path(tmp) / "out")],
+        ):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                status = main(["--format", fmt, *argv])
+            assert status in (0, 1, 2, 3), (code.to_text(), argv, err.getvalue())

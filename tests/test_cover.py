@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fourweight.canonical import apply_permutation, are_equivalent
+from fourweight.catalog import verify_claims
+from fourweight.classify import classify_all
 from fourweight.conditions import admissible_offsets, reference_rm, require_certificate
 from fourweight.cover import (
     CosetLeaderProfile,
@@ -147,9 +149,8 @@ def test_guard():
 
 
 def test_c1671_maximal_fast_path(n16_codes):
-    res = is_maximal(n16_codes["C_{16,7,1}"])
-    assert res.maximal and res.path == "fast"
-    assert res.radius == 4  # 4 < n/2 - a = 6
+    res = is_maximal(n16_codes["C_{16,7,1}"], radius=4)
+    assert res.maximal and res.path == "fast"  # 4 < n/2 - a = 6
 
 
 def test_self_dual_codes_maximal(n16_codes):
@@ -171,11 +172,38 @@ def test_c1662_not_maximal(n16_codes):
     assert are_equivalent(res.witness, n16_codes["C_{16,7,2}"])
 
 
-def test_fast_and_slow_paths_agree(n16_codes, n8_codes):
+def test_radius_bound_and_scan_never_disagree(n16_codes, n8_codes):
+    # "radius < n/2 - a" implies maximality, not the converse, so a caller's
+    # radius may settle a verdict but never change it
+    codes = list(n16_codes.values()) + list(n8_codes.values())
+    codes += [rec.code for n in (8, 16) for rep in classify_all(n) for rec in rep.classes]
+    for code in codes:
+        a = require_certificate(code).a
+        radius = covering_radius(code)
+        scan_empty = valid_extension_vectors(code, a).size == 0
+        assert scan_empty or radius >= code.n // 2 - a
+        assert is_maximal(code, radius=radius).maximal == is_maximal(code).maximal == scan_empty
+
+
+def test_maximality_without_radius_reads_no_sweep(monkeypatch, n16_codes, n8_codes):
+    def refuse(code):
+        raise AssertionError("is_maximal swept a covering radius")
+
+    monkeypatch.setattr("fourweight.cover.covering_radius", refuse)
     for code in list(n16_codes.values()) + list(n8_codes.values()):
-        fast = is_maximal(code)
-        slow_scan_empty = valid_extension_vectors(code, require_certificate(code).a).size == 0
-        assert fast.maximal == slow_scan_empty
+        is_maximal(code)
+
+
+def test_maximality_survives_a_wrong_radius(monkeypatch, n16_codes, n8_codes):
+    # a sweep that reports radius 0 everywhere: maximality verdicts hold,
+    # and verify-paper fails the one radius claim it makes at length 16
+    codes = {**n8_codes, **n16_codes}
+    verdicts = {cid: is_maximal(code).maximal for cid, code in codes.items()}
+    monkeypatch.setattr("fourweight.cover.covering_radius", lambda code: 0)
+    monkeypatch.setattr("fourweight.catalog.covering_radius", lambda code: 0)
+    assert {cid: is_maximal(code).maximal for cid, code in codes.items()} == verdicts
+    failed = [c.claim for c in verify_claims(16).claims if not c.ok]
+    assert failed == ["C_{16,7,1} has covering radius 4"]
 
 
 def test_triply_even_code_needs_slow_path():
@@ -184,7 +212,6 @@ def test_triply_even_code_needs_slow_path():
     code = load_code("C_{32,9,92}")
     res = is_maximal(code)
     assert res.maximal and res.path == "slow"
-    assert res.radius == 12  # radius >= n/2 - a = 8, so the bound is useless
 
 
 def _naive_valid_cosets(code, allowed):
